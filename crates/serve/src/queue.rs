@@ -110,6 +110,9 @@ pub struct QueueStats {
 
 struct Job {
     cells: Vec<Cell>,
+    /// Each cell's [`Cell::key`], computed once at submit and dropped
+    /// once every cell has finished.
+    keys: Vec<String>,
     results: Vec<Option<CellResult>>,
     running: Vec<bool>,
     finished: usize,
@@ -165,6 +168,7 @@ impl JobQueue {
         let id = s.jobs.len();
         let n = cells.len();
         s.jobs.push(Job {
+            keys: cells.iter().map(Cell::key).collect(),
             results: vec![None; n],
             running: vec![false; n],
             finished: 0,
@@ -209,18 +213,18 @@ impl JobQueue {
     /// Pops the first pending entry whose cell key is not currently
     /// in-flight, marking it running.
     fn take_claimable(s: &mut State) -> Option<Claim> {
-        let pos = s.pending.iter().position(|&(job, idx)| {
-            let key = s.jobs[job].cells[idx].key();
-            !s.inflight.contains(&key)
-        })?;
+        let pos = s
+            .pending
+            .iter()
+            .position(|&(job, idx)| !s.inflight.contains(&s.jobs[job].keys[idx]))?;
         let (job, cell_index) = s.pending.remove(pos).expect("position is in range");
-        let cell = s.jobs[job].cells[cell_index].clone();
-        s.inflight.insert(cell.key());
-        s.jobs[job].running[cell_index] = true;
+        let j = &mut s.jobs[job];
+        s.inflight.insert(j.keys[cell_index].clone());
+        j.running[cell_index] = true;
         Some(Claim {
             job,
             cell_index,
-            cell,
+            cell: j.cells[cell_index].clone(),
         })
     }
 
@@ -229,11 +233,19 @@ impl JobQueue {
     /// that already has a result (e.g. a worker retrying a post) is
     /// ignored.
     pub fn complete(&self, claim: &Claim, result: CellResult) {
-        let mut s = self.state.lock().unwrap();
-        s.inflight.remove(&claim.cell.key());
+        let mut state = self.state.lock().unwrap();
+        let s = &mut *state;
         let job = &mut s.jobs[claim.job];
-        job.running[claim.cell_index] = false;
+        let was_running = std::mem::take(&mut job.running[claim.cell_index]);
+        if was_running {
+            s.inflight.remove(&job.keys[claim.cell_index]);
+        }
         if job.results[claim.cell_index].is_none() {
+            if !was_running {
+                // A late post for a requeued claim: the cell must not run
+                // again (and its key may be gone once the job finishes).
+                s.pending.retain(|&p| p != (claim.job, claim.cell_index));
+            }
             let (executed, cached, crashed) = match &result.outcome {
                 CellOutcome::Done(_) if result.cached => (0, 1, 0),
                 CellOutcome::Done(_) => (1, 0, 0),
@@ -243,12 +255,13 @@ impl JobQueue {
             job.finished += 1;
             if job.finished == job.cells.len() {
                 job.completed_after = Some(job.created.elapsed());
+                job.keys = Vec::new();
             }
             s.executed += executed;
             s.cached += cached;
             s.crashed += crashed;
         }
-        drop(s);
+        drop(state);
         // Wake workers blocked behind this key, and completion pollers.
         self.cv.notify_all();
     }
@@ -256,14 +269,15 @@ impl JobQueue {
     /// Returns a cell claimed via [`JobQueue::try_claim`] to the front of
     /// the queue (a remote worker failed before posting a result).
     pub fn requeue(&self, claim: &Claim) {
-        let mut s = self.state.lock().unwrap();
-        s.inflight.remove(&claim.cell.key());
+        let mut state = self.state.lock().unwrap();
+        let s = &mut *state;
         let job = &mut s.jobs[claim.job];
         if job.results[claim.cell_index].is_none() && job.running[claim.cell_index] {
             job.running[claim.cell_index] = false;
+            s.inflight.remove(&job.keys[claim.cell_index]);
             s.pending.push_front((claim.job, claim.cell_index));
         }
-        drop(s);
+        drop(state);
         self.cv.notify_all();
     }
 
@@ -308,9 +322,18 @@ impl JobQueue {
         })
     }
 
-    /// The number of submitted jobs.
-    pub fn jobs(&self) -> usize {
-        self.state.lock().unwrap().jobs.len()
+    /// `(id, total, finished, complete)` for every job in id order, read
+    /// under one lock acquisition (the `GET /sweeps` listing).
+    pub fn summaries(&self) -> Vec<(usize, usize, usize, bool)> {
+        let s = self.state.lock().unwrap();
+        s.jobs
+            .iter()
+            .enumerate()
+            .map(|(id, job)| {
+                let total = job.cells.len();
+                (id, total, job.finished, job.finished == total)
+            })
+            .collect()
     }
 
     /// A complete job's results in spec order (`None` if the job is
@@ -426,6 +449,40 @@ mod tests {
     }
 
     #[test]
+    fn summaries_list_every_job_in_id_order() {
+        let q = JobQueue::new();
+        assert!(q.summaries().is_empty());
+        q.submit(vec![Cell::new("ssca2"), Cell::new("kmeans")]);
+        q.submit(vec![Cell::new("genome")]);
+        let a = q.claim_blocking().unwrap();
+        q.complete(&a, done(&a.cell, false));
+        assert_eq!(q.summaries(), vec![(0, 2, 1, false), (1, 1, 0, false)]);
+        for _ in 0..2 {
+            let c = q.claim_blocking().unwrap();
+            q.complete(&c, done(&c.cell, false));
+        }
+        assert_eq!(q.summaries(), vec![(0, 2, 2, true), (1, 1, 1, true)]);
+    }
+
+    #[test]
+    fn a_repeated_completion_leaves_a_duplicates_claim_in_flight() {
+        let q = JobQueue::new();
+        q.submit(vec![Cell::new("ssca2")]);
+        q.submit(vec![Cell::new("ssca2")]);
+        let first = q.claim_blocking().unwrap();
+        q.complete(&first, done(&first.cell, false));
+        let second = q.claim_blocking().unwrap();
+        assert_eq!(second.job, 1);
+        // A worker retrying its post for the first job must not free the
+        // key the second job's claim now holds.
+        q.complete(&first, done(&first.cell, false));
+        q.submit(vec![Cell::new("ssca2")]);
+        assert!(matches!(q.try_claim(), ClaimPoll::Empty));
+        q.complete(&second, done(&second.cell, true));
+        assert!(matches!(q.try_claim(), ClaimPoll::Claimed(c) if c.job == 2));
+    }
+
+    #[test]
     fn requeue_returns_a_claim_to_the_front() {
         let q = JobQueue::new();
         q.submit(vec![Cell::new("ssca2"), Cell::new("kmeans")]);
@@ -433,6 +490,17 @@ mod tests {
         q.requeue(&a);
         let again = q.claim_blocking().unwrap();
         assert_eq!(again.cell_index, a.cell_index);
+    }
+
+    #[test]
+    fn a_late_post_for_a_requeued_claim_finishes_the_cell() {
+        let q = JobQueue::new();
+        q.submit(vec![Cell::new("ssca2")]);
+        let a = q.claim_blocking().unwrap();
+        q.requeue(&a);
+        q.complete(&a, done(&a.cell, false));
+        assert!(q.job(0).unwrap().complete());
+        assert!(matches!(q.try_claim(), ClaimPoll::Empty));
     }
 
     #[test]

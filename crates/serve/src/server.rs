@@ -34,6 +34,8 @@ use crate::queue::{Claim, ClaimPoll, JobQueue};
 
 /// How many connection-handler threads the daemon runs. Handlers are
 /// cheap (JSON in/out) except the trace endpoint, which re-simulates.
+/// `GET /stats` walks the cache directory but re-reads only new or
+/// changed entries (see [`Cache::stats`]).
 const HANDLER_THREADS: usize = 4;
 
 /// How long the listener keeps serving after shutdown is requested, so
@@ -305,14 +307,16 @@ fn submit(shared: &Shared, req: &Request) -> Response {
 }
 
 fn list(shared: &Shared) -> Response {
-    let jobs = (0..shared.queue.jobs())
-        .filter_map(|id| shared.queue.job(id))
-        .map(|snap| {
+    let jobs = shared
+        .queue
+        .summaries()
+        .into_iter()
+        .map(|(id, total, finished, complete)| {
             Json::Obj(vec![
-                ("id".into(), Json::u64(snap.id as u64)),
-                ("total".into(), Json::u64(snap.cells.len() as u64)),
-                ("finished".into(), Json::u64(snap.finished as u64)),
-                ("complete".into(), Json::Bool(snap.complete())),
+                ("id".into(), Json::u64(id as u64)),
+                ("total".into(), Json::u64(total as u64)),
+                ("finished".into(), Json::u64(finished as u64)),
+                ("complete".into(), Json::Bool(complete)),
             ])
         })
         .collect();

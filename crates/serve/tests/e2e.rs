@@ -165,6 +165,54 @@ fn resubmitted_sweep_completes_entirely_from_cache() {
 }
 
 #[test]
+fn stats_cache_section_matches_a_cold_cache_scan() {
+    // The daemon's `/stats` scans through its long-lived, memoized cache;
+    // `hintm cache stats` scans cold. Both must report the same contents.
+    let dir = tmp_dir("stats-cache");
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        cache: Some(Cache::new(&dir)),
+    })
+    .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let served = || {
+        let (status, j) = get_json(&addr, "/stats");
+        assert_eq!(status, 200);
+        j.field("cache").expect("cache section").to_string()
+    };
+    let cold = || Cache::new(&dir).stats().unwrap().to_json().to_string();
+
+    let first = submit(&addr, SPEC);
+    await_job(&addr, first);
+    assert_eq!(served(), cold());
+    // Age every entry past the settle window, so the daemon's next scans
+    // answer from its memo rather than re-reading the files.
+    let old = std::time::SystemTime::now() - Duration::from_secs(3600);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let file = std::fs::File::options()
+            .write(true)
+            .open(entry.unwrap().path())
+            .unwrap();
+        file.set_modified(old).unwrap();
+    }
+    assert_eq!(served(), cold());
+
+    // A warm resubmit, then a fresh cell beside the memoized ones.
+    let warm = submit(&addr, SPEC);
+    await_job(&addr, warm);
+    assert_eq!(served(), cold());
+    let fresh = submit(&addr, r#"{"workloads":["ssca2"],"seeds":[7]}"#);
+    await_job(&addr, fresh);
+    let cache = served();
+    assert_eq!(cache, cold());
+    assert!(cache.contains("\"entries\":5"), "{cache}");
+
+    server.stop();
+    server.join();
+}
+
+#[test]
 fn resubmission_at_a_different_lane_count_is_a_cache_replay() {
     // `sim_threads` only shards the engine across host lanes — results
     // are bit-identical, the cell key excludes it, and so a warm spec
