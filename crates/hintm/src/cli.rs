@@ -15,8 +15,8 @@
 
 use crate::json::{analyze_report_to_json, audit_report_to_json, Json};
 use crate::{
-    chrome_trace, write_binlog, AbortKind, AllocConfig, ExecMode, Experiment, HintMode, HtmKind,
-    RunReport, Scale, WORKLOAD_NAMES,
+    chrome_trace, write_binlog, AbortKind, AllocConfig, Experiment, HintMode, HtmKind, RunReport,
+    Scale, WORKLOAD_NAMES,
 };
 use hintm_audit::{AnalyzeReport, AuditReport};
 use std::fmt;
@@ -188,15 +188,12 @@ pub struct SweepArgs {
     /// Host generation threads per cell (per-core lanes; results are
     /// bit-identical for every value, so the cache is shared across it).
     pub sim_threads: usize,
-    /// Execution tier for every cell (bit-identical results; the cache is
-    /// shared across it, like `sim_threads`).
-    pub exec: ExecMode,
     /// 2-way SMT.
     pub smt2: bool,
     /// §VI-B preserve optimization.
     pub preserve: bool,
     /// Heap-placement color strides to sweep (empty = `[0]`, the packed
-    /// default). A result-affecting axis, unlike `sim_threads`/`exec`.
+    /// default). A result-affecting axis, unlike `sim_threads`.
     pub alloc_colors: Vec<u64>,
     /// Sweep a three-workload smoke subset instead of every registered
     /// workload (ignored when `--workloads` names them explicitly).
@@ -234,7 +231,6 @@ impl Default for SweepArgs {
             scale: Scale::Sim,
             threads: None,
             sim_threads: 1,
-            exec: ExecMode::Interp,
             smt2: false,
             preserve: false,
             alloc_colors: Vec::new(),
@@ -262,10 +258,6 @@ pub struct PerfArgs {
     /// snapshot; baselines taken at a different thread count refuse to
     /// compare.
     pub threads: usize,
-    /// Execution tier for every timed run. Recorded in the snapshot;
-    /// baselines taken under a different tier refuse to compare (same
-    /// rule as `threads`).
-    pub exec: ExecMode,
     /// Timed repetitions per cell. The slowest repetition is dropped as
     /// noise when `repeat >= 3`, then the median of the rest is reported.
     pub repeat: usize,
@@ -287,7 +279,6 @@ impl Default for PerfArgs {
         PerfArgs {
             smoke: false,
             threads: 1,
-            exec: ExecMode::Interp,
             repeat: 5,
             warmup: 1,
             out: None,
@@ -316,16 +307,13 @@ pub struct RunArgs {
     /// Host threads for section generation (per-core lanes; results are
     /// bit-identical for every value).
     pub sim_threads: usize,
-    /// Execution tier (interpreted, batch-compiled, or both in lockstep;
-    /// results are bit-identical for every value).
-    pub exec: ExecMode,
     /// 2-way SMT.
     pub smt2: bool,
     /// §VI-B preserve optimization.
     pub preserve: bool,
     /// Heap-placement color stride in bytes (`--alloc-color`): padding
     /// inserted after every fresh heap allocation. `0` keeps the packed
-    /// default. Unlike `sim_threads`/`exec` this changes simulated
+    /// default. Unlike `sim_threads` this changes simulated
     /// addresses, so it changes results.
     pub alloc_color: u64,
     /// Emit CSV instead of a table.
@@ -344,7 +332,6 @@ impl Default for RunArgs {
             scale: Scale::Sim,
             threads: None,
             sim_threads: 1,
-            exec: ExecMode::Interp,
             smt2: false,
             preserve: false,
             alloc_color: 0,
@@ -381,12 +368,6 @@ OPTIONS:
   --threads <n>            override the workload's thread count
   --sim-threads <n>        host threads for section generation (per-core
                            lanes; results are bit-identical for any value) [1]
-  --exec <tier>            interp | compiled | both                  [interp]
-                           execution tier for resolved sections: `compiled`
-                           replays batch-compiled access programs, `both`
-                           runs the tiers in lockstep and fails loudly on
-                           the first divergence; results are bit-identical
-                           for every tier
   --smt2                   2-way SMT (16 hardware threads)
   --preserve               enable the preserve page-transition optimization
   --alloc-color <bytes>    heap-placement color stride: pad every fresh heap
@@ -426,7 +407,7 @@ SWEEP OPTIONS (comma-separated lists sweep the cross product):
                            result-affecting axis; --alloc-color also works) [0]
   --smoke                  sweep a fast three-workload smoke subset instead
                            of every registered workload
-  --scale / --threads / --sim-threads / --exec / --smt2 / --preserve
+  --scale / --threads / --sim-threads / --smt2 / --preserve
                            as above, applied to every cell
   --jobs <n>               worker threads            [machine's parallelism]
   --no-cache               bypass the on-disk result cache
@@ -455,9 +436,6 @@ when the median events/sec regresses past the threshold):
   --threads <n>            host generation threads for every timed run;
                            recorded in the snapshot, and baselines taken at a
                            different count refuse to compare               [1]
-  --exec <tier>            interp | compiled | both for every timed run;
-                           recorded in the snapshot, and baselines taken
-                           under a different tier refuse to compare   [interp]
   --repeat <n>             timed repetitions per cell; with --repeat >= 3 the
                            slowest repetition is dropped as noise and the
                            median of the rest is reported (at 1-2 reps every
@@ -581,7 +559,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         let v = value(&mut i, "--sim-threads")?;
                         ra.sim_threads = parse_sim_threads(&v)?;
                     }
-                    "--exec" => ra.exec = parse_exec(&value(&mut i, "--exec")?)?,
                     "--smt2" => ra.smt2 = true,
                     "--preserve" => ra.preserve = true,
                     "--alloc-color" => {
@@ -606,17 +583,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "unknown command `{other}` (try `hintm help`)"
         ))),
     }
-}
-
-/// Parses an execution-tier name (`interp` | `compiled` | `both`) as the
-/// CLI and the server's sweep-spec JSON spell it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_exec(v: &str) -> Result<ExecMode, CliError> {
-    ExecMode::parse(&v.to_ascii_lowercase())
-        .ok_or_else(|| CliError(format!("unknown --exec `{v}` (interp | compiled | both)")))
 }
 
 /// Parses a heap-placement color stride in bytes (`--alloc-color`).
@@ -735,7 +701,6 @@ fn parse_trace(args: &[String]) -> Result<Command, CliError> {
                 let v = value(&mut i, "--sim-threads")?;
                 ta.run.sim_threads = parse_sim_threads(&v)?;
             }
-            "--exec" => ta.run.exec = parse_exec(&value(&mut i, "--exec")?)?,
             "--smt2" => ta.run.smt2 = true,
             "--preserve" => ta.run.preserve = true,
             "--alloc-color" => {
@@ -796,7 +761,6 @@ fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
                 let v = value(&mut i, "--sim-threads")?;
                 sa.sim_threads = parse_sim_threads(&v)?;
             }
-            "--exec" => sa.exec = parse_exec(&value(&mut i, "--exec")?)?,
             "--smt2" => sa.smt2 = true,
             "--preserve" => sa.preserve = true,
             flag @ ("--alloc-color" | "--alloc-colors") => {
@@ -844,7 +808,6 @@ fn parse_perf(args: &[String]) -> Result<Command, CliError> {
                 let v = value(&mut i, "--threads")?;
                 pa.threads = parse_sim_threads(&v)?;
             }
-            "--exec" => pa.exec = parse_exec(&value(&mut i, "--exec")?)?,
             "--repeat" => {
                 let v = value(&mut i, "--repeat")?;
                 pa.repeat = v
@@ -958,7 +921,6 @@ fn experiment(name: &str, ra: &RunArgs) -> Experiment {
         .smt2(ra.smt2)
         .preserve(ra.preserve)
         .sim_threads(ra.sim_threads)
-        .exec(ra.exec)
         .alloc(AllocConfig {
             color_stride: ra.alloc_color,
             ..AllocConfig::default()
@@ -1351,39 +1313,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_exec_everywhere() {
-        let Command::Run(ra) = parse(&argv("run --workload kmeans --exec compiled")).unwrap()
-        else {
-            panic!("expected run")
-        };
-        assert_eq!(ra.exec, ExecMode::Compiled);
-        let Command::Trace(ta) = parse(&argv("trace kmeans --exec both")).unwrap() else {
-            panic!("expected trace")
-        };
-        assert_eq!(ta.run.exec, ExecMode::Both);
-        let Command::Sweep(sa) = parse(&argv("sweep --exec compiled")).unwrap() else {
-            panic!("expected sweep")
-        };
-        assert_eq!(sa.exec, ExecMode::Compiled);
-        let Command::Perf(pa) = parse(&argv("perf --exec compiled")).unwrap() else {
-            panic!("expected perf")
-        };
-        assert_eq!(pa.exec, ExecMode::Compiled);
-        // Defaults interpret; case-insensitive; garbage is rejected.
-        assert_eq!(RunArgs::default().exec, ExecMode::Interp);
-        assert_eq!(PerfArgs::default().exec, ExecMode::Interp);
-        assert_eq!(parse_exec("BOTH").unwrap(), ExecMode::Both);
-        assert!(parse(&argv("run --workload kmeans --exec jit")).is_err());
-        assert!(parse(&argv("suite --exec")).is_err());
-    }
-
-    #[test]
     fn rejects_unknown_values() {
         assert!(parse(&argv("run --workload x --htm weird")).is_err());
         assert!(parse(&argv("run --workload x --hints weird")).is_err());
         assert!(parse(&argv("run --workload x --seed nope")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("run --workload")).is_err());
+        // There is one execution tier; its old selector is an unknown flag.
+        assert!(parse(&argv("run --workload x --exec compiled")).is_err());
+        assert!(parse(&argv("trace kmeans --exec compiled")).is_err());
     }
 
     #[test]
@@ -1458,19 +1396,6 @@ mod tests {
         let row = lines.next().unwrap();
         assert!(row.starts_with("kmeans,P8,baseline,3,"));
         assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
-    }
-
-    #[test]
-    fn exec_tiers_agree_end_to_end() {
-        let mut outs = Vec::new();
-        for exec in ["interp", "compiled", "both"] {
-            let cmd = parse(&argv(&format!("run --workload kmeans --csv --exec {exec}"))).unwrap();
-            let mut buf = Vec::new();
-            execute(&cmd, &mut buf).unwrap();
-            outs.push(String::from_utf8(buf).unwrap());
-        }
-        assert_eq!(outs[0], outs[1], "interp vs compiled reports differ");
-        assert_eq!(outs[0], outs[2], "interp vs both reports differ");
     }
 
     #[test]
@@ -1683,6 +1608,7 @@ mod tests {
         assert!(parse(&argv("sweep --jobs nope")).is_err());
         assert!(parse(&argv("sweep --frobnicate")).is_err());
         assert!(parse(&argv("sweep --no-cache --resume")).is_err());
+        assert!(parse(&argv("sweep --exec compiled")).is_err());
     }
 
     #[test]
@@ -1713,6 +1639,7 @@ mod tests {
         assert!(parse(&argv("perf --threshold 1.5")).is_err());
         assert!(parse(&argv("perf --threshold -0.1")).is_err());
         assert!(parse(&argv("perf --frobnicate")).is_err());
+        assert!(parse(&argv("perf --exec compiled")).is_err());
         let mut buf = Vec::new();
         assert!(execute(&Command::Perf(PerfArgs::default()), &mut buf).is_err());
     }

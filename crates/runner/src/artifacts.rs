@@ -41,7 +41,6 @@ pub fn cell_to_json(cell: &Cell) -> Json {
             cell.threads.map_or(Json::Null, |t| Json::u64(t as u64)),
         ),
         ("sim_threads".into(), Json::u64(cell.sim_threads as u64)),
-        ("exec".into(), Json::Str(cell.exec.to_string())),
         ("smt2".into(), Json::Bool(cell.smt2)),
         ("preserve".into(), Json::Bool(cell.preserve)),
         ("alloc_color".into(), Json::u64(cell.alloc_color)),

@@ -13,8 +13,9 @@
 //! *speed*. Together they pin both sides of an optimization.
 //!
 //! Snapshot schema (`schema_version` 3; version 1 files lack `threads`
-//! and are read as `threads: 1`; version 1-2 files lack `exec` and are
-//! read as `exec: "interp"`):
+//! and are read as `threads: 1`; version 3 files written while the engine
+//! had a second execution tier also carry an `exec` field, which is
+//! ignored):
 //!
 //! ```json
 //! {
@@ -23,7 +24,6 @@
 //!   "git_rev": "dc3908a",
 //!   "grid": "full",
 //!   "threads": 1,
-//!   "exec": "interp",
 //!   "repeat": 5,
 //!   "warmup": 1,
 //!   "median_events_per_sec": 2026240.0,
@@ -39,24 +39,19 @@
 //! different lane counts measures different host behavior, so a snapshot
 //! is only ever compared against a baseline taken at the *same* count: a
 //! mismatched auto-discovered baseline skips the comparison with a
-//! notice, and a mismatched explicit `--baseline` is an error. `exec`
-//! (the execution tier) follows the same rule: interpreted and compiled
-//! runs time different code paths, so cross-tier comparisons are refused
-//! identically. Non-interp snapshots also get their own file namespace
-//! (`BENCH_compiled_<date>.json`), so they are never auto-discovered as
-//! baselines for interpreter runs.
+//! notice, and a mismatched explicit `--baseline` is an error.
 
 use hintm::cli::PerfArgs;
-use hintm::{ExecMode, Experiment, HtmKind, Json, Scale};
+use hintm::{Experiment, HtmKind, Json, Scale};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Snapshot format version (bump on breaking schema changes). Version 2
-/// added the top-level `threads` field; version 3 added `exec`. Older
-/// files are still read, with `threads` defaulting to 1 and `exec` to
-/// `interp`.
+/// added the top-level `threads` field; version 3 added the execution
+/// tier, since removed again (the field is ignored when present). Older
+/// files are still read, with `threads` defaulting to 1.
 pub const BENCH_SCHEMA_VERSION: u64 = 3;
 
 /// Default failure threshold: >25% slower than the baseline fails.
@@ -186,8 +181,8 @@ pub fn noise_rejected_median(runs_ns: &[u64]) -> u64 {
 }
 
 /// Measures one cell: `warmup` untimed runs, `repeat` timed runs, with
-/// the engine at `threads` generation lanes executing under the `exec`
-/// tier; [`noise_rejected_median`] picks the representative wall time.
+/// the engine at `threads` generation lanes; [`noise_rejected_median`]
+/// picks the representative wall time.
 /// The run configuration is pinned (seed 42, sim scale, hints off) so
 /// snapshots are comparable across machines only in ratio, but across
 /// commits on one machine in absolute terms. All raw repeats (including
@@ -201,7 +196,6 @@ pub fn measure_cell(
     warmup: usize,
     repeat: usize,
     threads: usize,
-    exec: ExecMode,
 ) -> Result<CellMeasurement, String> {
     let exp = || {
         Experiment::new(cell.workload)
@@ -209,7 +203,6 @@ pub fn measure_cell(
             .seed(42)
             .scale(Scale::Sim)
             .sim_threads(threads)
-            .exec(exec)
     };
     let mut events = 0u64;
     for _ in 0..warmup {
@@ -279,7 +272,6 @@ pub fn snapshot_json(
     cells: &[CellMeasurement],
     grid: &str,
     threads: usize,
-    exec: ExecMode,
     repeat: usize,
     warmup: usize,
 ) -> Json {
@@ -289,7 +281,6 @@ pub fn snapshot_json(
         ("git_rev".into(), Json::Str(git_rev())),
         ("grid".into(), Json::Str(grid.into())),
         ("threads".into(), Json::u64(threads as u64)),
-        ("exec".into(), Json::Str(exec.to_string())),
         ("repeat".into(), Json::u64(repeat as u64)),
         ("warmup".into(), Json::u64(warmup as u64)),
         (
@@ -330,9 +321,6 @@ pub struct Baseline {
     /// Generation-lane count the snapshot was taken at (1 for schema
     /// version 1 files, which predate the field).
     pub threads: usize,
-    /// Execution tier the snapshot was taken under (`interp` for schema
-    /// version 1-2 files, which predate the compilation tier).
-    pub exec: ExecMode,
     /// Grid name the snapshot timed (`full` when the field is absent —
     /// only full-grid snapshots predate it).
     pub grid: String,
@@ -365,14 +353,6 @@ pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
     let threads = match j.get("threads") {
         Some(v) => v.as_u64().map_err(|e| e.to_string())? as usize,
         None => 1,
-    };
-    // v1-2 predate the compilation tier; those snapshots interpreted.
-    let exec = match j.get("exec") {
-        Some(v) => {
-            let s = v.as_str().map_err(|e| e.to_string())?;
-            ExecMode::parse(s).ok_or_else(|| format!("{}: bad exec `{s}`", path.display()))?
-        }
-        None => ExecMode::Interp,
     };
     let grid = j
         .get("grid")
@@ -411,7 +391,6 @@ pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
             .unwrap_or("unknown")
             .to_string(),
         threads,
-        exec,
         grid,
         median_events_per_sec: median,
         cells,
@@ -474,34 +453,24 @@ pub fn run_perf(pa: &PerfArgs) -> Result<(), String> {
     };
     let out_dir = PathBuf::from(pa.out.as_deref().unwrap_or("."));
     // Smoke snapshots get their own namespace so a quick CI run can never
-    // clobber (or be mistaken for) a committed full-grid baseline. The
-    // same goes for non-interp tiers: a compiled-tier run writes
-    // `BENCH_compiled_<date>.json`, which the auto-discovery (8-digit
-    // dates only) never picks as an interpreter baseline.
-    let exec_tag = match pa.exec {
-        ExecMode::Interp => "",
-        ExecMode::Compiled => "compiled_",
-        ExecMode::Both => "both_",
-    };
+    // clobber (or be mistaken for) a committed full-grid baseline.
     let stamp_path = out_dir.join(format!(
-        "BENCH_{}{}{}.json",
+        "BENCH_{}{}.json",
         if pa.smoke { "smoke_" } else { "" },
-        exec_tag,
         today_utc().replace('-', "")
     ));
 
     eprintln!(
-        "perf: {} grid, {} cells, warmup {} + repeat {}, threads {}, exec {}",
+        "perf: {} grid, {} cells, warmup {} + repeat {}, threads {}",
         grid_name,
         grid.len(),
         pa.warmup,
         pa.repeat,
         pa.threads,
-        pa.exec
     );
     let mut cells = Vec::with_capacity(grid.len());
     for c in &grid {
-        let m = measure_cell(c, pa.warmup, pa.repeat, pa.threads, pa.exec)?;
+        let m = measure_cell(c, pa.warmup, pa.repeat, pa.threads)?;
         eprintln!(
             "  {:<10} {:<7} {:>9} events  {:>9.0} ev/s  ({:.1} ms median)",
             m.workload,
@@ -516,7 +485,7 @@ pub fn run_perf(pa: &PerfArgs) -> Result<(), String> {
     eprintln!("perf: overall median {median:.0} events/sec");
 
     fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
-    let json = snapshot_json(&cells, grid_name, pa.threads, pa.exec, pa.repeat, pa.warmup);
+    let json = snapshot_json(&cells, grid_name, pa.threads, pa.repeat, pa.warmup);
     let mut file =
         fs::File::create(&stamp_path).map_err(|e| format!("{}: {e}", stamp_path.display()))?;
     writeln!(file, "{json}").map_err(|e| e.to_string())?;
@@ -561,21 +530,6 @@ pub fn run_perf(pa: &PerfArgs) -> Result<(), String> {
             base.path.display(),
             base.threads,
             pa.threads
-        );
-        if pa.baseline.is_some() {
-            return Err(format!("perf: refusing comparison: {msg}"));
-        }
-        eprintln!("perf: comparison skipped: {msg}");
-        return Ok(());
-    }
-    if base.exec != pa.exec {
-        // Same rule as a cross-thread-count comparison: the tiers time
-        // different code paths, so the ratio says nothing about either.
-        let msg = format!(
-            "baseline {} was taken under exec {}, this run under exec {}",
-            base.path.display(),
-            base.exec,
-            pa.exec
         );
         if pa.baseline.is_some() {
             return Err(format!("perf: refusing comparison: {msg}"));
@@ -684,15 +638,10 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_20260101.json");
-        fs::write(
-            &path,
-            snapshot_json(&cells, "smoke", 4, ExecMode::Compiled, 2, 1).to_string(),
-        )
-        .unwrap();
+        fs::write(&path, snapshot_json(&cells, "smoke", 4, 2, 1).to_string()).unwrap();
         let b = load_baseline(&path).unwrap();
         assert_eq!(b.median_events_per_sec, 1.5e9);
         assert_eq!(b.threads, 4);
-        assert_eq!(b.exec, ExecMode::Compiled);
         assert_eq!(b.grid, "smoke");
         assert_eq!(b.cells.len(), 2);
         assert_eq!(b.cells[0].0, "kmeans");
@@ -713,27 +662,33 @@ mod tests {
         .unwrap();
         let b = load_baseline(&path).unwrap();
         assert_eq!(b.threads, 1, "v1 files predate lanes: always serial");
-        assert_eq!(b.exec, ExecMode::Interp, "v1 files predate the compiler");
         assert_eq!(b.grid, "full", "only full-grid snapshots predate `grid`");
         assert_eq!(b.median_events_per_sec, 2.0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn v2_snapshots_read_as_interp() {
-        let dir = std::env::temp_dir().join("hintm-perf-v2compat");
+    fn v3_snapshots_with_an_exec_tier_still_load() {
+        let dir = std::env::temp_dir().join("hintm-perf-v3compat");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_20260101.json");
         fs::write(
             &path,
-            r#"{"schema_version": 2, "threads": 4, "median_events_per_sec": 2.0, "cells": []}"#,
+            r#"{"schema_version": 3, "threads": 4, "exec": "compiled",
+                "median_events_per_sec": 2.0, "cells": []}"#,
         )
         .unwrap();
         let b = load_baseline(&path).unwrap();
         assert_eq!(b.threads, 4);
-        assert_eq!(b.exec, ExecMode::Interp, "v2 files predate the compiler");
+        assert_eq!(b.median_events_per_sec, 2.0);
         fs::remove_dir_all(&dir).unwrap();
+        // The committed compiled-tier snapshot is one of them.
+        let committed =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_compiled_20260808.json");
+        let b = load_baseline(&committed).unwrap();
+        assert_eq!(b.grid, "full");
+        assert!(b.median_events_per_sec > 0.0);
     }
 
     #[test]
@@ -745,9 +700,8 @@ mod tests {
         fs::write(dir.join("BENCH_20260101.json"), "{}").unwrap();
         fs::write(dir.join("notes.txt"), "").unwrap();
         // Smoke snapshots sort above full ones ('s' > any digit) but must
-        // never be selected as a baseline; nor are compiled-tier ones —
-        // they would be refused anyway, but they shouldn't even shadow
-        // the newest interpreter snapshot.
+        // never be selected as a baseline; nor are the tier-tagged files
+        // an earlier engine with two execution tiers wrote.
         fs::write(dir.join("BENCH_smoke_20270101.json"), "{}").unwrap();
         fs::write(dir.join("BENCH_compiled_20270101.json"), "{}").unwrap();
         fs::write(dir.join("BENCH_both_20270101.json"), "{}").unwrap();
@@ -791,7 +745,6 @@ mod tests {
             0,
             1,
             1,
-            ExecMode::Interp,
         )
         .unwrap();
         assert!(m.events > 0);
@@ -808,21 +761,8 @@ mod tests {
             workload: "kmeans",
             htm: HtmKind::P8,
         };
-        let serial = measure_cell(&cell, 0, 1, 1, ExecMode::Interp).unwrap();
-        let laned = measure_cell(&cell, 0, 1, 4, ExecMode::Interp).unwrap();
+        let serial = measure_cell(&cell, 0, 1, 1).unwrap();
+        let laned = measure_cell(&cell, 0, 1, 4).unwrap();
         assert_eq!(serial.events, laned.events);
-    }
-
-    #[test]
-    fn exec_tiers_agree_on_events() {
-        // The compiled tier is digest-locked to the interpreter, so the
-        // event count must not depend on the execution tier either.
-        let cell = PerfCell {
-            workload: "kmeans",
-            htm: HtmKind::P8,
-        };
-        let interp = measure_cell(&cell, 0, 1, 1, ExecMode::Interp).unwrap();
-        let compiled = measure_cell(&cell, 0, 1, 1, ExecMode::Compiled).unwrap();
-        assert_eq!(interp.events, compiled.events);
     }
 }

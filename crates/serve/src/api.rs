@@ -11,7 +11,6 @@
 //!   "scale": "sim",
 //!   "threads": 8,
 //!   "sim_threads": 1,
-//!   "exec": "interp",
 //!   "smt2": false,
 //!   "preserve": false
 //! }
@@ -20,16 +19,14 @@
 //! `sim_threads` is the engine's host-lane count (`--sim-threads` on the
 //! CLI): results are bit-identical for every value, so it is not part of
 //! the cell key and resubmitting a spec at a different lane count is a
-//! pure cache replay. `exec` (`interp` | `compiled` | `both`, the
-//! `--exec` flag) picks the execution tier under the same contract —
-//! bit-identical results, excluded from the cell key.
+//! pure cache replay.
 //!
 //! Every field is optional with the same defaults as the CLI; unknown
 //! fields are rejected so typos fail loudly instead of silently sweeping
 //! the wrong grid. Cells on the claim/complete wire use the same JSON
 //! object shape as the sweep manifest ([`hintm_runner::cell_to_json`]).
 
-use hintm::cli::{parse_exec, parse_hints, parse_htm, parse_scale, scale_str};
+use hintm::cli::{parse_hints, parse_htm, parse_scale, scale_str};
 use hintm::{HintMode, Json, RunReport, WORKLOAD_NAMES};
 use hintm_runner::{cell_to_json, Cell, CellOutcome, CellResult, SweepResult, SweepSpec};
 use std::time::Duration;
@@ -119,10 +116,6 @@ pub fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
                     .ok_or("`sim_threads` must be an integer >= 1")?;
                 spec = spec.sim_threads(t as usize);
             }
-            "exec" => {
-                let s = value.as_str().map_err(|_| "`exec` must be a string")?;
-                spec = spec.exec(parse_exec(s).map_err(|e| e.to_string())?);
-            }
             "smt2" => spec = spec.smt2(as_bool(value, "smt2")?),
             "preserve" => spec = spec.preserve(as_bool(value, "preserve")?),
             "alloc_colors" => {
@@ -189,11 +182,8 @@ pub fn cell_from_json(j: &Json) -> Result<Cell, String> {
     if let Some(v) = j.get("sim_threads") {
         cell = cell.sim_threads(v.as_u64().map_err(|e| e.to_string())? as usize);
     }
-    // Absent on pre-compiler manifests: those cells interpreted.
-    if let Some(v) = j.get("exec") {
-        cell = cell
-            .exec(parse_exec(v.as_str().map_err(|e| e.to_string())?).map_err(|e| e.to_string())?);
-    }
+    // Cells from workers built before the engine had one execution tier
+    // also carry `exec`; results never depended on it, so it is ignored.
     // Absent on pre-placement manifests: those cells used the packed
     // default layout.
     if let Some(v) = j.get("alloc_color") {
@@ -342,7 +332,7 @@ mod tests {
         let j = Json::parse(
             r#"{"workloads":["kmeans","ssca2"],"htm":["p8","infcap"],
                 "hints":["off","full"],"seeds":[1,2],"scale":"large",
-                "threads":4,"sim_threads":2,"exec":"compiled","smt2":true,"preserve":true}"#,
+                "threads":4,"sim_threads":2,"smt2":true,"preserve":true}"#,
         )
         .unwrap();
         let cells = cells_from_spec_json(&j).unwrap();
@@ -351,7 +341,6 @@ mod tests {
             c.scale == Scale::Large
                 && c.threads == Some(4)
                 && c.sim_threads == 2
-                && c.exec == hintm::ExecMode::Compiled
                 && c.smt2
                 && c.preserve
         }));
@@ -364,7 +353,6 @@ mod tests {
             .scale(Scale::Large)
             .threads(4)
             .sim_threads(2)
-            .exec(hintm::ExecMode::Compiled)
             .smt2(true)
             .preserve(true)
             .cells();
@@ -387,8 +375,7 @@ mod tests {
             r#"{"scale":"huge"}"#,
             r#"{"sim_threads":0}"#,
             r#"{"sim_threads":"two"}"#,
-            r#"{"exec":"jit"}"#,
-            r#"{"exec":1}"#,
+            r#"{"exec":"interp"}"#,
             r#"{"smt2":"yes"}"#,
             r#"{"frobnicate":1}"#,
             r#"[1,2]"#,
@@ -409,7 +396,6 @@ mod tests {
                 .seed(7)
                 .threads(16)
                 .sim_threads(4)
-                .exec(hintm::ExecMode::Both)
                 .smt2(true)
                 .preserve(true),
         ];
@@ -436,17 +422,17 @@ mod tests {
     }
 
     #[test]
-    fn pre_compiler_cell_json_defaults_to_interp() {
-        // Manifests written before the compilation tier carry no `exec`;
-        // those cells interpreted.
-        let cell = Cell::new("kmeans").exec(hintm::ExecMode::Compiled);
+    fn cell_json_with_an_exec_tier_parses_to_the_same_cell() {
+        // Claims and manifests from workers built with two execution tiers
+        // carry `"exec"`; the cell they describe is unchanged.
+        let cell = Cell::new("kmeans").sim_threads(2).seed(7);
         let mut j = cell_to_json(&cell);
         if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| k != "exec");
+            assert!(fields.iter().all(|(k, _)| k != "exec"));
+            fields.insert(7, ("exec".into(), Json::Str("both".into())));
         }
         let back = cell_from_json(&j).unwrap();
-        assert_eq!(back.exec, hintm::ExecMode::Interp);
-        // The tier is not part of the key, so the claim still dedups.
+        assert_eq!(back, cell);
         assert_eq!(back.key(), cell.key());
     }
 

@@ -38,7 +38,6 @@ fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
         .alloc_colors(sa.alloc_colors.iter().copied())
         .scale(sa.scale)
         .sim_threads(sa.sim_threads)
-        .exec(sa.exec)
         .smt2(sa.smt2)
         .preserve(sa.preserve);
     spec = if sa.workloads.is_empty() && sa.smoke {

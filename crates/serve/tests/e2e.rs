@@ -407,6 +407,18 @@ fn error_paths_over_the_wire() {
         assert_eq!(status, want, "{method} {path}");
     }
 
+    // The removed execution-tier field is rejected like any other typo.
+    let (status, body) = client_request(
+        &addr,
+        "POST",
+        "/sweeps",
+        br#"{"workloads":["ssca2"],"exec":"compiled"}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    let body = String::from_utf8_lossy(&body);
+    assert!(body.contains("unknown sweep spec field `exec`"), "{body}");
+
     // A pending job's report is a 409 until workers exist to finish it.
     let id = submit(&addr, r#"{"workloads":["ssca2"]}"#);
     let (status, _) = client_request(&addr, "GET", &format!("/sweeps/{id}/report"), b"").unwrap();

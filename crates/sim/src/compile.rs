@@ -1,160 +1,79 @@
-//! The section compiler: lowering workload sections into executable
-//! programs for the engine's two execution tiers.
+//! Section lowering: every workload section becomes an [`AccessProgram`],
+//! the engine's only executable representation.
 //!
-//! # Two-tier lowering
+//! # One lowering, no cache
 //!
-//! Every section is *resolved* once — per-op block/page split and every
-//! run-constant safety verdict — before execution (PR 7). This module owns
-//! that machinery and adds a second, denser target below it:
+//! Each section is *resolved* once before execution — per-op safety
+//! verdicts against the run-constant hint sets — and lowered straight into
+//! a flat array of packed 16-byte slots: a one-byte opword (kind + safety
+//! flags + store bit + compiler hint + pre-resolved escape-window
+//! membership), the issuing site, and a single payload lane holding the
+//! byte address (accesses) or cycle cost (computes). The engine's replay
+//! loop executes straight from these slots; block/page splits and the
+//! access record are rebuilt with register arithmetic. Escape windows are
+//! folded into each access slot's `F_ESCAPED` bit at lowering time, which
+//! is sound because bodies replay verbatim from slot 0 on every retry, so
+//! the engine carries no runtime suspend state.
 //!
-//! * **Interpreter tier** ([`ExecMode::Interp`]): sections lower to a
-//!   `Program` of flat `POp` records, one 48-byte struct per op, and
-//!   the engine dispatches on the op kind per step.
-//! * **Compiled tier** ([`ExecMode::Compiled`]): sections lower to an
-//!   [`AccessProgram`] — a flat array of packed 16-byte slots, each a
-//!   one-byte opword (kind + safety flags + store bit + pre-resolved
-//!   escape-window membership) plus a single payload lane holding the
-//!   byte address (accesses) or cycle cost (computes). The engine's
-//!   replay loop executes straight from these slots — block/page splits
-//!   and the access record are rebuilt with register arithmetic — without
-//!   re-deciding structure per event, and the interpreter's per-access
-//!   `suspended` state test disappears: escape windows are folded into
-//!   each slot's `F_ESCAPED` bit at compile time, which is sound
-//!   because bodies replay verbatim across retries.
+//! Lowering deliberately does *not* fold compute ops into accesses or drop
+//! suspend/resume markers: the scheduler interleaves threads between every
+//! op, so collapsing slots would change conflict windows, abort points, and
+//! [`crate::RunStats::steps`]. One source op is one slot is one scheduling
+//! step.
 //!
-//! What the compiled tier deliberately does *not* do is fold compute ops
-//! into accesses or drop suspend/resume markers: the scheduler interleaves
-//! threads between every op, so collapsing slots would change conflict
-//! windows, abort points, and [`crate::RunStats::steps`]. Both tiers
-//! execute exactly one slot per scheduling step and are locked together by
-//! the differential harness (`tests/exec_differential.rs`) — digests and
-//! stats are bit-identical by construction, which is why `exec` is
-//! excluded from sweep cache keys.
-//!
-//! # Cache keying
-//!
-//! Compiled programs are memoized in a `Compiler`-owned cache keyed by
-//! a 64-bit content digest of the section (op kinds, addresses, sites,
-//! hints, compute costs, TX-ness) folded with the resolver's *points-to
-//! generation* — a digest of the hint configuration and the safe-site /
-//! notary sets the static analysis produced. Identical section bodies
-//! recompile once per generation and share one [`Arc`]; a changed hint
-//! configuration changes the generation and invalidates every key.
-//!
-//! Streams whose sections never repeat (address-unique bodies) would pay
-//! the keying and probing for nothing, so the cache watches its own hit
-//! rate over a probation window and switches itself off for the rest of
-//! the run when the stream proves unrepeating; retired program buffers
-//! recycle through a spare pool either way, so steady-state compilation
-//! allocates nothing beyond one `Arc` per section.
+//! Lowered programs are not memoized. Sections rarely repeat verbatim —
+//! generated addresses differ run to run — so a content-addressed program
+//! cache hit 0–15% of lookups on the benchmark workloads while keying every
+//! section and holding up to a thousand programs alive. Instead each
+//! section lowers into a buffer the engine recycles from a retired
+//! program, so steady-state lowering allocates nothing.
 
 use crate::config::SimConfig;
 use crate::section::{Section, TxOp, Workload};
-use hintm_trace::Fnv64;
 use hintm_types::{AccessKind, Addr, BlockAddr, MemAccess, PageId, SafetyHint, SiteId};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// The op carries a static-safe verdict (hint, static site set, or notary
 /// range, with static hints enabled).
 pub(crate) const F_STATIC_SAFE: u8 = 1 << 0;
 /// Hint-independent static classification (Fig. 6 footprint views).
 pub(crate) const F_RAW_STATIC: u8 = 1 << 1;
-/// Compiled opword: the access is a store.
+/// Opword: the access is a store.
 pub(crate) const F_STORE: u8 = 1 << 2;
-/// Compiled opword: the slot sits inside a Suspend..Resume escape window
+/// Opword: the slot sits inside a Suspend..Resume escape window
 /// (pre-resolved; the access executes non-transactionally).
 pub(crate) const F_ESCAPED: u8 = 1 << 3;
-/// Compiled opword: the source access carried a compiler [`SafetyHint`]
-/// (the raw hint, before the resolver's site/notary folding — kept so the
-/// slot reconstructs the original [`MemAccess`] bit-for-bit).
+/// Opword: the source access carried a compiler [`SafetyHint`] (the raw
+/// hint, before the resolver's site/notary folding — kept so the slot
+/// reconstructs the original [`MemAccess`] bit-for-bit).
 pub(crate) const F_HINT_SAFE: u8 = 1 << 4;
 
-/// Compiled opword kind field (bits 6–7).
+/// Opword kind field (bits 6–7).
 pub(crate) const K_MASK: u8 = 0b1100_0000;
-/// Kind: memory access (parallel arrays are meaningful).
+/// Kind: memory access.
 pub(crate) const K_ACCESS: u8 = 0;
 /// Kind: pure computation of the slot's cost cycles.
 pub(crate) const K_COMPUTE: u8 = 1 << 6;
-/// Kind: begin an escape window (step-consuming no-op when compiled).
+/// Kind: begin an escape window (a step-consuming no-op).
 pub(crate) const K_SUSPEND: u8 = 2 << 6;
-/// Kind: end an escape window (step-consuming no-op when compiled).
+/// Kind: end an escape window (a step-consuming no-op).
 pub(crate) const K_RESUME: u8 = 3 << 6;
-
-/// What a pre-resolved operation does (interpreter tier).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum OpKind {
-    /// A memory access ([`POp::access`] is meaningful).
-    Access,
-    /// Pure computation of [`POp::cost`] cycles.
-    Compute,
-    /// Begin an escape window.
-    Suspend,
-    /// End an escape window.
-    Resume,
-}
-
-/// One flat, fully-resolved operation: the block/page split and every
-/// run-constant safety verdict are computed once per section (in the lane,
-/// when lanes are active) instead of once per executed access.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct POp {
-    pub(crate) op: OpKind,
-    pub(crate) flags: u8,
-    /// Compute cycles ([`OpKind::Compute`] only).
-    pub(crate) cost: u64,
-    pub(crate) access: MemAccess,
-    pub(crate) block: BlockAddr,
-    pub(crate) page: PageId,
-}
-
-/// A resolved section body. Replayed verbatim across retries. Retired
-/// programs return to an engine-level pool so steady-state resolution
-/// reuses their op storage instead of allocating per section.
-///
-/// Which representations are populated depends on the [`ExecMode`]:
-/// `ops` for the interpreter, `code` for the compiled tier, both for the
-/// lockstep-checking `both` mode.
-#[derive(Debug, Default)]
-pub(crate) struct Program {
-    /// Transactional (`Section::Tx`) or plain ops (`Section::NonTx`).
-    pub(crate) tx: bool,
-    pub(crate) ops: Vec<POp>,
-    pub(crate) code: Option<Arc<AccessProgram>>,
-}
-
-impl Program {
-    /// Slot count (identical in both representations by construction).
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        match &self.code {
-            Some(c) => c.len(),
-            None => self.ops.len(),
-        }
-    }
-}
 
 /// One unit delivered from generation to the merge loop.
 #[derive(Debug)]
 pub(crate) enum Resolved {
-    Program(Program),
+    Program(AccessProgram),
     Barrier,
     Done,
 }
 
-use crate::config::ExecMode;
-
-/// Turns sections into `Program`s. Immutable after construction, so lane
-/// workers can share it by reference.
+/// Turns sections into [`AccessProgram`]s. Immutable after construction,
+/// so lane workers can share it by reference.
 pub(crate) struct Resolver {
     uses_static: bool,
     safe_sites: Vec<SiteId>,
     raw_static_sites: Vec<SiteId>,
     notary_pages: Vec<PageId>,
-    /// Points-to generation stamp: a digest of the hint configuration and
-    /// the site/notary sets the static analysis produced. Folded into
-    /// every [`Compiler`] cache key.
-    generation: u32,
 }
 
 impl Resolver {
@@ -183,36 +102,16 @@ impl Resolver {
         }
         let mut notary_pages: Vec<PageId> = notary_pages.into_iter().collect();
         notary_pages.sort_unstable();
-        let mut h = Fnv64::new();
-        h.write(&[cfg.hint_mode.uses_static() as u8]);
-        for s in &safe_sites {
-            h.write_u64(s.0 as u64 + 1);
-        }
-        h.write(&[0xFE]);
-        for s in &raw_static_sites {
-            h.write_u64(s.0 as u64 + 1);
-        }
-        h.write(&[0xFD]);
-        for p in &notary_pages {
-            h.write_u64(p.index() + 1);
-        }
-        let generation = h.finish() as u32;
         Resolver {
             uses_static: cfg.hint_mode.uses_static(),
             safe_sites,
             raw_static_sites,
             notary_pages,
-            generation,
         }
     }
 
-    /// The points-to generation stamp compiled programs are keyed by.
-    pub(crate) fn generation(&self) -> u32 {
-        self.generation
-    }
-
     /// The run-constant safety flags for one access (`F_STATIC_SAFE` /
-    /// `F_RAW_STATIC`), shared by both lowering targets.
+    /// `F_RAW_STATIC`).
     #[inline]
     fn access_flags(&self, a: &MemAccess, page: PageId) -> u8 {
         let hint_safe = a.hint.is_safe()
@@ -228,107 +127,79 @@ impl Resolver {
         flags
     }
 
-    pub(crate) fn resolve(
-        &self,
-        section: Section,
-        exec: ExecMode,
-        compiler: &mut Compiler,
-    ) -> Resolved {
-        self.resolve_into(section, Program::default(), exec, compiler)
-    }
-
-    /// [`Resolver::resolve`] reusing `buf`'s op storage.
-    pub(crate) fn resolve_into(
-        &self,
-        section: Section,
-        buf: Program,
-        exec: ExecMode,
-        compiler: &mut Compiler,
-    ) -> Resolved {
+    /// Lowers `section` into `buf`'s storage (a retired program, or an
+    /// empty one).
+    pub(crate) fn resolve_into(&self, section: Section, mut buf: AccessProgram) -> Resolved {
         match section {
-            Section::Barrier => Resolved::Barrier,
-            Section::NonTx(ops) => {
-                Resolved::Program(self.program(false, &ops, buf, exec, compiler))
-            }
-            Section::Tx(body) => {
-                Resolved::Program(self.program(true, &body.ops, buf, exec, compiler))
-            }
+            Section::Barrier => return Resolved::Barrier,
+            Section::NonTx(ops) => self.lower_into(false, &ops, &mut buf),
+            Section::Tx(body) => self.lower_into(true, &body.ops, &mut buf),
         }
+        Resolved::Program(buf)
     }
 
-    fn program(
-        &self,
-        tx: bool,
-        ops: &[TxOp],
-        mut out: Program,
-        exec: ExecMode,
-        compiler: &mut Compiler,
-    ) -> Program {
-        let filler = MemAccess::load(Addr::new(0), SiteId(0));
-        out.tx = tx;
-        out.ops.clear();
-        if let Some(old) = out.code.take() {
-            // The retired program's buffers feed the next lowering (unless
-            // the cache or another section still shares it).
-            compiler.recycle(old);
-        }
-        if exec.interprets() {
-            out.ops.extend(ops.iter().map(|op| match op {
-                TxOp::Compute(c) => POp {
-                    op: OpKind::Compute,
-                    flags: 0,
-                    cost: *c,
-                    access: filler,
-                    block: BlockAddr::from_index(0),
-                    page: PageId::from_index(0),
+    /// Lowers one section body, one slot per source op. Escape windows are
+    /// resolved positionally: an access slot is marked [`F_ESCAPED`] iff
+    /// the suspend depth at its program point is positive.
+    fn lower_into(&self, tx: bool, ops: &[TxOp], p: &mut AccessProgram) {
+        p.tx = tx;
+        p.slots.clear();
+        p.slots.reserve(ops.len());
+        let mut depth = 0u32;
+        for op in ops {
+            let slot = match op {
+                TxOp::Compute(c) => Slot {
+                    payload: *c,
+                    site: SiteId(0),
+                    word: K_COMPUTE,
                 },
-                TxOp::Suspend => POp {
-                    op: OpKind::Suspend,
-                    flags: 0,
-                    cost: 0,
-                    access: filler,
-                    block: BlockAddr::from_index(0),
-                    page: PageId::from_index(0),
-                },
-                TxOp::Resume => POp {
-                    op: OpKind::Resume,
-                    flags: 0,
-                    cost: 0,
-                    access: filler,
-                    block: BlockAddr::from_index(0),
-                    page: PageId::from_index(0),
-                },
-                TxOp::Access(a) => {
-                    let page = a.addr.page();
-                    POp {
-                        op: OpKind::Access,
-                        flags: self.access_flags(a, page),
-                        cost: 0,
-                        access: *a,
-                        block: a.addr.block(),
-                        page,
+                TxOp::Suspend => {
+                    debug_assert!(depth == 0, "nested suspend");
+                    depth += 1;
+                    Slot {
+                        payload: 0,
+                        site: SiteId(0),
+                        word: K_SUSPEND,
                     }
                 }
-            }));
+                TxOp::Resume => {
+                    debug_assert!(depth > 0, "resume without suspend");
+                    depth = depth.saturating_sub(1);
+                    Slot {
+                        payload: 0,
+                        site: SiteId(0),
+                        word: K_RESUME,
+                    }
+                }
+                TxOp::Access(a) => {
+                    let mut w = K_ACCESS | self.access_flags(a, a.addr.page());
+                    if a.kind == AccessKind::Store {
+                        w |= F_STORE;
+                    }
+                    if a.hint.is_safe() {
+                        w |= F_HINT_SAFE;
+                    }
+                    if depth > 0 {
+                        w |= F_ESCAPED;
+                    }
+                    Slot {
+                        payload: a.addr.raw(),
+                        site: a.site,
+                        word: w,
+                    }
+                }
+            };
+            p.slots.push(slot);
         }
-        if exec.compiles() {
-            out.code = Some(compiler.compile(self, tx, ops));
-            debug_assert!(
-                !exec.interprets()
-                    || out.ops.len() == out.code.as_ref().map(|c| c.len()).unwrap_or(0),
-                "compiled slot count must match the interpreter op count"
-            );
-        }
-        out
     }
 }
 
-/// One compiled slot: a packed opword plus a single payload lane. The
+/// One lowered slot: a packed opword plus a single payload lane. The
 /// payload is the byte address for access slots and the cycle cost for
 /// compute slots — everything else (block, page, kind, hint) is
 /// reconstructed from the opword and address with register arithmetic.
-/// 16 bytes against the interpreter's 48-byte [`POp`]: the replay loop's
-/// per-event fetch is one bounds check and two machine words.
+/// The replay loop's per-event fetch is one bounds check and two machine
+/// words.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     /// Byte address ([`K_ACCESS`]) or compute cycles ([`K_COMPUTE`]).
@@ -339,26 +210,17 @@ struct Slot {
     word: u8,
 }
 
-/// A compiled section body: the structure-free target of the compiled
-/// tier. One packed 16-byte `Slot` per source op — kind, store bit,
-/// safety flags, and pre-resolved escape membership in the opword, the
-/// address or cost in the payload lane — which the engine's replay loop
-/// executes directly without re-deciding structure per event.
-#[derive(Debug)]
+/// A lowered section body, replayed verbatim across retries: one packed
+/// 16-byte `Slot` per source op — kind, store bit, hint, safety flags and
+/// pre-resolved escape membership in the opword, the address or cost in
+/// the payload lane.
+#[derive(Debug, Default)]
 pub struct AccessProgram {
     tx: bool,
     slots: Vec<Slot>,
 }
 
 impl AccessProgram {
-    /// A slotless program, ready for [`lower_into`] to fill.
-    fn empty() -> Self {
-        AccessProgram {
-            tx: false,
-            slots: Vec::new(),
-        }
-    }
-
     /// Number of slots (one per source op).
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -369,7 +231,7 @@ impl AccessProgram {
         self.slots.is_empty()
     }
 
-    /// Compiled from a transactional section?
+    /// Lowered from a transactional section?
     pub fn is_tx(&self) -> bool {
         self.tx
     }
@@ -394,327 +256,92 @@ impl AccessProgram {
         seen.len()
     }
 
-    /// The packed slot at `pos` — the compiled tier's per-event fetch:
-    /// (opword, payload, site), one bounds check and two machine words.
+    /// The packed slot at `pos` — the engine's per-event fetch: (opword,
+    /// payload, site).
     #[inline]
     pub(crate) fn packed(&self, pos: usize) -> (u8, u64, SiteId) {
         let s = self.slots[pos];
         (s.word, s.payload, s.site)
     }
-
-    /// The full slot at `pos` (opword, cost, block, page, access), widened
-    /// back from the packed form.
-    #[inline]
-    pub(crate) fn slot(&self, pos: usize) -> (u8, u64, BlockAddr, PageId, MemAccess) {
-        let s = self.slots[pos];
-        if s.word & K_MASK == K_ACCESS {
-            let addr = Addr::new(s.payload);
-            let kind = if s.word & F_STORE != 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let hint = if s.word & F_HINT_SAFE != 0 {
-                SafetyHint::Safe
-            } else {
-                SafetyHint::Unsafe
-            };
-            let access = MemAccess {
-                addr,
-                kind,
-                site: s.site,
-                hint,
-            };
-            (s.word, 0, addr.block(), addr.page(), access)
-        } else {
-            (
-                s.word,
-                s.payload,
-                BlockAddr::from_index(0),
-                PageId::from_index(0),
-                MemAccess::load(Addr::new(0), SiteId(0)),
-            )
-        }
-    }
 }
 
-/// Entry cap for the compiled-program cache. Compiled programs are shared
-/// by `Arc`, so clearing a full cache never invalidates live programs.
-const CACHE_CAP: usize = 1024;
-
-/// Compile count after which the cache's hit rate is judged (see
-/// [`Compiler::maybe_bypass`]).
-const BYPASS_PROBATION: u64 = 512;
-
-/// The compile cache's keys are already well-mixed 64-bit digests (see
-/// [`Compiler::key`]), so the map's hasher is a passthrough: re-hashing
-/// them through SipHash would cost more than the probe it guards.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("compile-cache keys hash as u64");
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type KeyMap = HashMap<u64, Arc<AccessProgram>, std::hash::BuildHasherDefault<KeyHasher>>;
-
-/// Lowers sections to [`AccessProgram`]s, memoizing them in a
-/// content-addressed cache (see the module docs for the keying rule).
-/// One compiler per generation context (the serial feed, or one per lane
-/// worker) — compilation is a pure function of the section and the
-/// resolver, so private caches stay deterministic at any lane count.
-pub(crate) struct Compiler {
-    generation: u32,
-    cache: KeyMap,
-    /// Retired programs whose buffers the next miss reuses: when the cache
-    /// clears, every entry nothing else still holds (`Arc` refcount 1) is
-    /// reclaimed here, so steady-state compilation allocates nothing — the
-    /// same zero-alloc property the interpreter's reused op buffer has.
-    spares: Vec<AccessProgram>,
-    /// Set once the probation window proves the section stream never
-    /// repeats (address-unique bodies): keying and probing the cache is
-    /// then pure overhead, so misses lower straight into recycled buffers.
-    /// Purely a fast path — programs are a function of (section, resolver),
-    /// so a hit and a fresh lowering are bit-identical.
-    bypass: bool,
-    hits: u64,
-    misses: u64,
-}
-
-/// One round of the cache-key mixer: full-width multiply-xor, two ops per
-/// section op instead of FNV's per-byte loop. Keys are internal to the
-/// cache (nothing golden depends on them), so speed wins over FNV here.
+/// Rebuilds the source [`MemAccess`] of an access slot from its packed
+/// (opword, payload, site) form.
 #[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    let x = (h ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^ (x >> 29)
-}
-
-impl Compiler {
-    pub(crate) fn new(resolver: &Resolver) -> Self {
-        Compiler {
-            generation: resolver.generation(),
-            cache: KeyMap::default(),
-            spares: Vec::new(),
-            bypass: false,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Takes a retired program back. If nothing else still shares it (the
-    /// cache holds repeated programs at refcount >= 2), its buffers are
-    /// reused by the next lowering.
-    pub(crate) fn recycle(&mut self, p: Arc<AccessProgram>) {
-        if self.spares.len() < CACHE_CAP {
-            if let Ok(p) = Arc::try_unwrap(p) {
-                self.spares.push(p);
-            }
-        }
-    }
-
-    /// Cache key: a 64-bit content hash over the full section (kind,
-    /// store-ness, hint, site, address, cost per op), folded with the
-    /// resolver's points-to generation.
-    fn key(&self, tx: bool, ops: &[TxOp]) -> u64 {
-        let mut h = mix(
-            0x517c_c1b7_2722_0a95,
-            (u64::from(self.generation) << 1) | tx as u64,
-        );
-        for op in ops {
-            match op {
-                TxOp::Access(a) => {
-                    let tag = 1u64
-                        | ((a.kind == AccessKind::Store) as u64) << 1
-                        | (a.hint.is_safe() as u64) << 2
-                        | (a.site.0 as u64) << 3;
-                    h = mix(h, tag);
-                    h = mix(h, a.addr.raw());
-                }
-                TxOp::Compute(c) => {
-                    h = mix(h, 4);
-                    h = mix(h, *c);
-                }
-                TxOp::Suspend => h = mix(h, 5),
-                TxOp::Resume => h = mix(h, 6),
-            }
-        }
-        h
-    }
-
-    pub(crate) fn compile(
-        &mut self,
-        resolver: &Resolver,
-        tx: bool,
-        ops: &[TxOp],
-    ) -> Arc<AccessProgram> {
-        if self.bypass {
-            self.misses += 1;
-            let mut prog = self.spares.pop().unwrap_or_else(AccessProgram::empty);
-            lower_into(resolver, tx, ops, &mut prog);
-            return Arc::new(prog);
-        }
-        let key = self.key(tx, ops);
-        if let Some(p) = self.cache.get(&key) {
-            self.hits += 1;
-            return Arc::clone(p);
-        }
-        self.misses += 1;
-        let mut prog = self.spares.pop().unwrap_or_else(AccessProgram::empty);
-        lower_into(resolver, tx, ops, &mut prog);
-        let p = Arc::new(prog);
-        if self.cache.len() >= CACHE_CAP {
-            // Reclaim buffers from entries no in-flight section still
-            // references; live programs stay valid through their own Arc.
-            let retired = self
-                .cache
-                .drain()
-                .filter_map(|(_, p)| Arc::try_unwrap(p).ok());
-            self.spares.extend(retired);
-            self.spares.truncate(CACHE_CAP);
-        }
-        self.cache.insert(key, Arc::clone(&p));
-        self.maybe_bypass();
-        p
-    }
-
-    /// Probation check: after [`BYPASS_PROBATION`] compiles, a stream that
-    /// almost never repeats (hit rate below 1 in 8) switches the cache off
-    /// for the rest of the run and reclaims its buffers into the spare
-    /// pool. Runs once — the counter sum passes the threshold exactly once.
-    fn maybe_bypass(&mut self) {
-        if self.hits + self.misses == BYPASS_PROBATION && self.hits * 8 < self.misses {
-            self.bypass = true;
-            let retired = std::mem::take(&mut self.cache)
-                .into_values()
-                .filter_map(|p| Arc::try_unwrap(p).ok());
-            self.spares.extend(retired);
-            self.spares.truncate(CACHE_CAP);
-        }
-    }
-
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses
+pub(crate) fn decode_access(w: u8, payload: u64, site: SiteId) -> MemAccess {
+    MemAccess {
+        addr: Addr::new(payload),
+        kind: if w & F_STORE != 0 {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        },
+        site,
+        hint: if w & F_HINT_SAFE != 0 {
+            SafetyHint::Safe
+        } else {
+            SafetyHint::Unsafe
+        },
     }
 }
 
-/// Lowers one section body to its SoA form. Escape windows are resolved
-/// positionally: a slot is marked [`F_ESCAPED`] iff the suspend depth at
-/// its program point is positive, which matches the interpreter's runtime
-/// `suspended` state exactly because bodies replay verbatim from slot 0 on
-/// every retry.
-fn lower_into(resolver: &Resolver, tx: bool, ops: &[TxOp], p: &mut AccessProgram) {
-    p.tx = tx;
-    p.slots.clear();
-    p.slots.reserve(ops.len());
-    let mut depth = 0u32;
-    for op in ops {
-        let slot = match op {
-            TxOp::Compute(c) => Slot {
-                payload: *c,
-                site: SiteId(0),
-                word: K_COMPUTE,
-            },
-            TxOp::Suspend => {
-                debug_assert!(depth == 0, "nested suspend");
-                depth += 1;
-                Slot {
-                    payload: 0,
-                    site: SiteId(0),
-                    word: K_SUSPEND,
-                }
-            }
-            TxOp::Resume => {
-                debug_assert!(depth > 0, "resume without suspend");
-                depth = depth.saturating_sub(1);
-                Slot {
-                    payload: 0,
-                    site: SiteId(0),
-                    word: K_RESUME,
-                }
-            }
-            TxOp::Access(a) => {
-                let mut w = K_ACCESS | resolver.access_flags(a, a.addr.page());
-                if a.kind == AccessKind::Store {
-                    w |= F_STORE;
-                }
-                if a.hint.is_safe() {
-                    w |= F_HINT_SAFE;
-                }
-                if depth > 0 {
-                    w |= F_ESCAPED;
-                }
-                Slot {
-                    payload: a.addr.raw(),
-                    site: a.site,
-                    word: w,
-                }
-            }
-        };
-        p.slots.push(slot);
-    }
-}
-
-/// Public entry point into the compilation tier: compiles the sections a
-/// workload generates, with the same resolver + cache the engine uses.
-/// Tooling and tests use it to inspect [`AccessProgram`]s (e.g. checking
-/// per-TX distinct-block counts against the static footprint analysis)
-/// without running a simulation.
+/// Public entry point into lowering: lowers the sections a workload
+/// generates with the same resolver the engine uses. Tooling and tests use
+/// it to inspect [`AccessProgram`]s (e.g. checking per-TX distinct-block
+/// counts against the static footprint analysis) without running a
+/// simulation.
 pub struct SectionCompiler {
     resolver: Resolver,
-    compiler: Compiler,
+    lowered: u64,
 }
 
 impl SectionCompiler {
     /// A compiler over `workload`'s hint sets under `cfg`.
     pub fn new(workload: &dyn Workload, cfg: &SimConfig) -> Self {
-        let resolver = Resolver::new(workload, cfg);
-        let compiler = Compiler::new(&resolver);
-        SectionCompiler { resolver, compiler }
-    }
-
-    /// Compiles one section (`None` for barriers, which carry no ops).
-    pub fn compile(&mut self, section: &Section) -> Option<Arc<AccessProgram>> {
-        match section {
-            Section::Barrier => None,
-            Section::NonTx(ops) => Some(self.compiler.compile(&self.resolver, false, ops)),
-            Section::Tx(body) => Some(self.compiler.compile(&self.resolver, true, &body.ops)),
+        SectionCompiler {
+            resolver: Resolver::new(workload, cfg),
+            lowered: 0,
         }
     }
 
-    /// Cache hits so far (identical section bodies share one program).
-    pub fn cache_hits(&self) -> u64 {
-        self.compiler.hits()
+    /// Lowers one section (`None` for barriers, which carry no ops).
+    pub fn compile(&mut self, section: &Section) -> Option<AccessProgram> {
+        let (tx, ops) = match section {
+            Section::Barrier => return None,
+            Section::NonTx(ops) => (false, ops),
+            Section::Tx(body) => (true, &body.ops),
+        };
+        let mut p = AccessProgram::default();
+        self.resolver.lower_into(tx, ops, &mut p);
+        self.lowered += 1;
+        Some(p)
     }
 
-    /// Cache misses so far (each lowered the section once).
+    /// Always 0: lowered programs are not cached.
+    pub fn cache_hits(&self) -> u64 {
+        0
+    }
+
+    /// Sections lowered so far (every compile lowers).
     pub fn cache_misses(&self) -> u64 {
-        self.compiler.misses()
+        self.lowered
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HintMode;
     use crate::section::TxBody;
+    use hintm_types::rng::SmallRng;
     use hintm_types::ThreadId;
 
-    struct NoWorkload;
-    impl Workload for NoWorkload {
+    /// A workload that generates nothing but declares hint sets: site 3 is
+    /// statically safe and the page at 0x4000 is notary-privatized.
+    struct Hinted;
+    impl Workload for Hinted {
         fn name(&self) -> &'static str {
-            "none"
+            "hinted"
         }
         fn num_threads(&self) -> usize {
             1
@@ -722,6 +349,12 @@ mod tests {
         fn reset(&mut self, _seed: u64) {}
         fn next_section(&mut self, _tid: ThreadId) -> Option<Section> {
             None
+        }
+        fn static_safe_sites(&self) -> HashSet<SiteId> {
+            [SiteId(3)].into_iter().collect()
+        }
+        fn notary_safe_ranges(&self) -> Vec<(Addr, u64)> {
+            vec![(Addr::new(0x4000), 64)]
         }
     }
 
@@ -736,19 +369,23 @@ mod tests {
         ])
     }
 
+    fn words(p: &AccessProgram) -> Vec<u8> {
+        (0..p.len()).map(|i| p.packed(i).0).collect()
+    }
+
     #[test]
     fn lowering_packs_kind_store_and_escape() {
-        let mut sc = SectionCompiler::new(&NoWorkload, &SimConfig::default());
+        let mut sc = SectionCompiler::new(&Hinted, &SimConfig::default());
         let p = sc.compile(&Section::Tx(body())).expect("tx compiles");
         assert!(p.is_tx());
         assert_eq!(p.len(), 6);
         assert_eq!(p.num_accesses(), 3);
         assert_eq!(p.distinct_blocks(), 2);
-        let words: Vec<u8> = (0..p.len()).map(|i| p.slot(i).0).collect();
+        let words = words(&p);
         assert_eq!(words[0] & K_MASK, K_ACCESS);
         assert_eq!(words[0] & (F_STORE | F_ESCAPED), 0);
         assert_eq!(words[1] & K_MASK, K_COMPUTE);
-        assert_eq!(p.slot(1).1, 17, "compute cost rides in the cost lane");
+        assert_eq!(p.packed(1).1, 17, "compute cost rides in the payload");
         assert_eq!(words[2] & K_MASK, K_SUSPEND);
         assert_eq!(
             words[3] & (K_MASK | F_STORE | F_ESCAPED),
@@ -764,51 +401,139 @@ mod tests {
     }
 
     #[test]
-    fn cache_amortizes_identical_sections() {
-        let mut sc = SectionCompiler::new(&NoWorkload, &SimConfig::default());
+    fn every_compile_lowers() {
+        let mut sc = SectionCompiler::new(&Hinted, &SimConfig::default());
         let a = sc.compile(&Section::Tx(body())).unwrap();
-        let b = sc.compile(&Section::Tx(body())).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second compile is a cache hit");
-        assert_eq!((sc.cache_hits(), sc.cache_misses()), (1, 1));
-        // TX-ness is part of the key: the same ops as a NonTx section are a
-        // distinct program.
         let c = sc.compile(&Section::NonTx(body().ops)).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert!(!c.is_tx());
-        assert_eq!((sc.cache_hits(), sc.cache_misses()), (1, 2));
+        assert!(a.is_tx() && !c.is_tx());
+        assert_eq!(words(&a), words(&c), "TX-ness is not in the opwords");
+        assert_eq!((sc.cache_hits(), sc.cache_misses()), (0, 2));
     }
 
     #[test]
-    fn generation_keys_differ_across_hint_configs() {
-        // Same workload, different hint modes: the notary/site sets feed
-        // the generation stamp only when static hints are on.
-        struct Notary;
-        impl Workload for Notary {
-            fn name(&self) -> &'static str {
-                "notary"
-            }
-            fn num_threads(&self) -> usize {
-                1
-            }
-            fn reset(&mut self, _seed: u64) {}
-            fn next_section(&mut self, _tid: ThreadId) -> Option<Section> {
-                None
-            }
-            fn notary_safe_ranges(&self) -> Vec<(Addr, u64)> {
-                vec![(Addr::new(0x1000), 64)]
+    fn safety_flags_follow_the_hint_mode() {
+        let access =
+            |addr: u64, site: u32| TxOp::Access(MemAccess::load(Addr::new(addr), SiteId(site)));
+        let section = Section::Tx(TxBody::new(vec![
+            access(0x40, 1),
+            access(0x80, 3),
+            access(0x4010, 1),
+            TxOp::Access(MemAccess::load(Addr::new(0xC0), SiteId(1)).with_hint(SafetyHint::Safe)),
+        ]));
+        let flags = |mode: HintMode| -> Vec<u8> {
+            let mut sc = SectionCompiler::new(&Hinted, &SimConfig::default().hint_mode(mode));
+            let p = sc.compile(&section).unwrap();
+            words(&p)
+                .iter()
+                .map(|w| w & (F_STATIC_SAFE | F_RAW_STATIC))
+                .collect()
+        };
+        // Raw static classification ignores the hint mode; the static-safe
+        // verdict (site set, notary page, compiler hint) needs static hints.
+        assert_eq!(flags(HintMode::Off), [0, F_RAW_STATIC, 0, F_RAW_STATIC]);
+        let both = F_STATIC_SAFE | F_RAW_STATIC;
+        assert_eq!(flags(HintMode::Static), [0, both, F_STATIC_SAFE, both],);
+    }
+
+    /// A random section body: accesses (loads/stores, hinted or not, over
+    /// a few sites and pages), computes, and balanced, non-nested
+    /// suspend/resume windows.
+    fn random_ops(rng: &mut SmallRng) -> Vec<TxOp> {
+        let n = rng.gen_range(0..40usize);
+        let mut ops = Vec::with_capacity(n + 1);
+        let mut open = false;
+        for _ in 0..n {
+            match rng.gen_range(0..10u32) {
+                0 => {
+                    ops.push(if open { TxOp::Resume } else { TxOp::Suspend });
+                    open = !open;
+                }
+                1 | 2 => ops.push(TxOp::Compute(rng.gen_range(0..1000u64))),
+                _ => {
+                    let addr = Addr::new(rng.gen_range(0..0x10000u64));
+                    let site = SiteId(rng.gen_range(0..6u32));
+                    let mut a = if rng.gen_bool(0.4) {
+                        MemAccess::store(addr, site)
+                    } else {
+                        MemAccess::load(addr, site)
+                    };
+                    if rng.gen_bool(0.2) {
+                        a = a.with_hint(SafetyHint::Safe);
+                    }
+                    ops.push(TxOp::Access(a));
+                }
             }
         }
-        let off = Resolver::new(&Notary, &SimConfig::default());
-        let on = Resolver::new(
-            &Notary,
-            &SimConfig::default().hint_mode(crate::config::HintMode::Static),
-        );
-        assert_ne!(off.generation(), on.generation());
+        if open {
+            ops.push(TxOp::Resume);
+        }
+        ops
+    }
+
+    /// Lowering round trip: every slot decodes back to its source op —
+    /// kind, address, site, store bit, hint and cost — carries the
+    /// resolver's safety flags, and is escaped exactly inside a window.
+    #[test]
+    fn lowering_round_trips_random_sections() {
+        let mut rng = SmallRng::seed_from_u64(0x5EC7);
+        let cfgs = [
+            SimConfig::default(),
+            SimConfig::default().hint_mode(HintMode::Full),
+        ];
+        for case in 0..512 {
+            let cfg = &cfgs[case % cfgs.len()];
+            let resolver = Resolver::new(&Hinted, cfg);
+            let ops = random_ops(&mut rng);
+            let tx = rng.gen_bool(0.5);
+            let section = if tx {
+                Section::Tx(TxBody::new(ops.clone()))
+            } else {
+                Section::NonTx(ops.clone())
+            };
+            // Lower into a recycled buffer that held a longer program.
+            let mut buf = AccessProgram::default();
+            resolver.lower_into(!tx, &random_ops(&mut rng), &mut buf);
+            let Resolved::Program(p) = resolver.resolve_into(section, buf) else {
+                panic!("case {case}: a section lowers to a program");
+            };
+            assert_eq!(p.is_tx(), tx, "case {case}");
+            assert_eq!(p.len(), ops.len(), "case {case}: one slot per op");
+            let mut inside = false;
+            for (pos, op) in ops.iter().enumerate() {
+                let (w, payload, site) = p.packed(pos);
+                let decoded = match w & K_MASK {
+                    K_ACCESS => TxOp::Access(decode_access(w, payload, site)),
+                    K_COMPUTE => TxOp::Compute(payload),
+                    K_SUSPEND => TxOp::Suspend,
+                    _ => TxOp::Resume,
+                };
+                assert_eq!(&decoded, op, "case {case} slot {pos}");
+                match op {
+                    TxOp::Suspend => inside = true,
+                    TxOp::Resume => inside = false,
+                    TxOp::Compute(_) => {}
+                    TxOp::Access(a) => {
+                        assert_eq!(
+                            w & (F_STATIC_SAFE | F_RAW_STATIC),
+                            resolver.access_flags(a, a.addr.page()),
+                            "case {case} slot {pos}: safety flags"
+                        );
+                    }
+                }
+                let escaped = matches!(op, TxOp::Access(_)) && inside;
+                assert_eq!(
+                    w & F_ESCAPED != 0,
+                    escaped,
+                    "case {case} slot {pos}: F_ESCAPED iff an access inside a window"
+                );
+            }
+        }
     }
 
     #[test]
     fn barriers_do_not_compile() {
-        let mut sc = SectionCompiler::new(&NoWorkload, &SimConfig::default());
+        let mut sc = SectionCompiler::new(&Hinted, &SimConfig::default());
         assert!(sc.compile(&Section::Barrier).is_none());
+        assert_eq!(sc.cache_misses(), 0);
     }
 }

@@ -41,55 +41,6 @@ impl fmt::Display for HintMode {
     }
 }
 
-/// Which execution tier replays resolved sections. All tiers produce
-/// bit-identical statistics and trace digests — the choice is a pure
-/// performance/self-checking knob, excluded from sweep cache keys exactly
-/// like `sim_threads`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ExecMode {
-    /// Interpret flat pre-resolved ops (the PR 7 path).
-    #[default]
-    Interp,
-    /// Replay batch-compiled SoA access programs (the trace-JIT tier).
-    Compiled,
-    /// Run both tiers in lockstep; panic loudly on the first slot where
-    /// their decodes diverge. A self-checking mode for the differential
-    /// harness — executes compiled, checks against the interpreter.
-    Both,
-}
-
-impl ExecMode {
-    /// Does this mode build interpreter op lists?
-    pub const fn interprets(self) -> bool {
-        matches!(self, ExecMode::Interp | ExecMode::Both)
-    }
-
-    /// Does this mode build compiled access programs?
-    pub const fn compiles(self) -> bool {
-        matches!(self, ExecMode::Compiled | ExecMode::Both)
-    }
-
-    /// Parses the CLI/API spelling (`interp` | `compiled` | `both`).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "interp" => Some(ExecMode::Interp),
-            "compiled" => Some(ExecMode::Compiled),
-            "both" => Some(ExecMode::Both),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecMode::Interp => write!(f, "interp"),
-            ExecMode::Compiled => write!(f, "compiled"),
-            ExecMode::Both => write!(f, "both"),
-        }
-    }
-}
-
 /// Full configuration of one simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -130,9 +81,6 @@ pub struct SimConfig {
     /// [`crate::Workload::generation_is_thread_local`] silently run the
     /// serial path.
     pub sim_threads: usize,
-    /// Execution tier for resolved sections (see [`ExecMode`]). Results
-    /// are bit-identical for every value.
-    pub exec: ExecMode,
 }
 
 impl Default for SimConfig {
@@ -152,7 +100,6 @@ impl Default for SimConfig {
             profile_sharing: false,
             max_steps: 2_000_000_000,
             sim_threads: 1,
-            exec: ExecMode::Interp,
         }
     }
 }
@@ -184,12 +131,6 @@ impl SimConfig {
         self.sim_threads = n.max(1);
         self
     }
-
-    /// Builder-style: sets the execution tier.
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -209,17 +150,6 @@ mod tests {
         assert_eq!(HintMode::Static.to_string(), "HinTM-st");
         assert_eq!(HintMode::Dynamic.to_string(), "HinTM-dyn");
         assert_eq!(HintMode::Full.to_string(), "HinTM");
-    }
-
-    #[test]
-    fn exec_mode_spellings_round_trip() {
-        for m in [ExecMode::Interp, ExecMode::Compiled, ExecMode::Both] {
-            assert_eq!(ExecMode::parse(&m.to_string()), Some(m));
-        }
-        assert_eq!(ExecMode::parse("jit"), None);
-        assert!(ExecMode::Interp.interprets() && !ExecMode::Interp.compiles());
-        assert!(!ExecMode::Compiled.interprets() && ExecMode::Compiled.compiles());
-        assert!(ExecMode::Both.interprets() && ExecMode::Both.compiles());
     }
 
     #[test]

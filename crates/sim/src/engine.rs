@@ -9,11 +9,11 @@
 //! * **Lane workers** (host threads) own fixed subsets of the simulated
 //!   hardware threads (thread `i` belongs to lane `i % lanes`). A lane
 //!   pulls sections from the workload (serialized behind a lock) and
-//!   *resolves* them into flat `Program`s — per-op block/page split and
-//!   static-safety verdicts — entirely off the merge loop's critical path.
-//!   Resolved programs flow to the merge loop through bounded per-thread
-//!   channels (the *epoch window*), so a lane can run at most
-//!   `EPOCH_WINDOW` sections ahead of execution.
+//!   *lowers* them into packed `AccessProgram`s — per-op static-safety
+//!   verdicts and escape-window membership — entirely off the merge loop's
+//!   critical path. Lowered programs flow to the merge loop through
+//!   bounded per-thread channels (the *epoch window*), so a lane can run at
+//!   most `EPOCH_WINDOW` sections ahead of execution.
 //! * **The merge loop** (the calling thread) is the authoritative serial
 //!   scheduler: it alone touches the shared simulated state — the cache
 //!   hierarchy, the VM/page table, the HTM trackers, the fallback lock —
@@ -39,27 +39,24 @@
 //! time still beats the second-best candidate from the last full scan
 //! (ties broken toward the lower index, exactly like the scan itself).
 //!
-//! Sections replay through one of two tiers (see [`crate::compile`]): the
-//! `POp` interpreter, or batch-compiled SoA [`crate::AccessProgram`]s
-//! whose packed opwords carry pre-resolved escape-window membership. Both
-//! tiers execute one slot per scheduling step through the same shared
-//! access pipeline, so statistics and trace digests are bit-identical;
-//! [`crate::ExecMode::Both`] executes compiled slots while asserting the
-//! interpreter decode agrees at every op.
+//! Sections replay from their lowered [`crate::AccessProgram`]s (see
+//! [`crate::compile`]): one packed slot per scheduling step, whose opword
+//! carries the pre-resolved escape-window membership, so no thread keeps
+//! runtime suspend state. The serial feed lowers each section into the
+//! buffer of a retired program; each lane lowers into a fresh one.
 
 use crate::compile::{
-    Compiler, OpKind, POp, Program, Resolved, Resolver, F_ESCAPED, F_HINT_SAFE, F_RAW_STATIC,
-    F_STATIC_SAFE, F_STORE, K_ACCESS, K_COMPUTE, K_MASK, K_RESUME, K_SUSPEND,
+    decode_access, AccessProgram, Resolved, Resolver, F_ESCAPED, F_RAW_STATIC, F_STATIC_SAFE,
+    K_COMPUTE, K_MASK, K_RESUME, K_SUSPEND,
 };
-use crate::config::{ExecMode, SimConfig};
+use crate::config::SimConfig;
 use crate::section::Workload;
 use crate::stats::RunStats;
 use hintm_cache::{AccessOutcome, Hierarchy};
 use hintm_htm::{HtmKind, HtmThread};
 use hintm_trace::{TraceEvent, TraceSink};
 use hintm_types::{
-    AbortKind, AccessKind, Addr, BlockAddr, ConflictPolicy, CoreId, Cycles, MemAccess, PageId,
-    SafetyHint, SiteId, ThreadId,
+    AbortKind, AccessKind, BlockAddr, ConflictPolicy, CoreId, Cycles, MemAccess, PageId, ThreadId,
 };
 use hintm_vm::{SharingProfiler, VmSystem};
 use std::collections::HashSet;
@@ -76,8 +73,6 @@ enum Feed<'w, 'r> {
     Direct {
         workload: &'w mut dyn Workload,
         resolver: &'r Resolver,
-        compiler: Compiler,
-        exec: ExecMode,
     },
     /// Lane path: per-thread receivers fed by lane workers.
     Lanes(Vec<Receiver<Resolved>>),
@@ -87,17 +82,14 @@ impl Feed<'_, '_> {
     /// Fetch the next resolved section for `tid`. `recycle` donates a
     /// retired program's storage to the serial path (lane programs are
     /// built on the worker side, so it is dropped there).
-    fn next(&mut self, tid: usize, recycle: Option<Program>) -> Resolved {
+    fn next(&mut self, tid: usize, recycle: Option<AccessProgram>) -> Resolved {
         match self {
-            Feed::Direct {
-                workload,
-                resolver,
-                compiler,
-                exec,
-            } => match workload.next_section(ThreadId(tid as u32)) {
-                None => Resolved::Done,
-                Some(s) => resolver.resolve_into(s, recycle.unwrap_or_default(), *exec, compiler),
-            },
+            Feed::Direct { workload, resolver } => {
+                match workload.next_section(ThreadId(tid as u32)) {
+                    None => Resolved::Done,
+                    Some(s) => resolver.resolve_into(s, recycle.unwrap_or_default()),
+                }
+            }
             Feed::Lanes(rxs) => rxs[tid]
                 .recv()
                 .expect("generation lane disconnected (worker panicked)"),
@@ -139,12 +131,10 @@ struct ThreadCtx {
     /// Earliest retry time (`WaitRetry`).
     resume_at: Cycles,
     /// The current section body; retained across retries. Stored inline
-    /// (no box): it is never shared, and retiring it hands the op buffer
+    /// (no box): it is never shared, and retiring it hands the slot buffer
     /// back to [`Engine::pool`].
-    prog: Option<Program>,
+    prog: Option<AccessProgram>,
     core: CoreId,
-    /// Inside a Suspend..Resume escape window of the current TX.
-    suspended: bool,
     /// Pages this TX attempt accessed under a *dynamic* safe verdict.
     /// A small unsorted vec: attempts touch few distinct safe pages, and
     /// a linear scan beats hashing at that size.
@@ -169,7 +159,7 @@ enum StepOutcome {
 struct EngineScratch {
     /// Cache access result ([`Hierarchy::access_into`] target).
     outcome: AccessOutcome,
-    /// Conflict victims gathered in step 4 of `exec_op`.
+    /// Conflict victims gathered in step 4 of `exec_access`.
     victims: Vec<(usize, AbortKind)>,
     /// Threads whose tracker lost a block to an L1 eviction (step 5).
     evicted: Vec<usize>,
@@ -311,14 +301,8 @@ impl Simulator {
         sink: S,
     ) -> RunStats {
         let mut engine = Engine::new(&self.cfg, n, smt, sink);
-        let exec = self.cfg.exec;
         if lanes <= 1 {
-            let mut feed = Feed::Direct {
-                workload,
-                resolver,
-                compiler: Compiler::new(resolver),
-                exec,
-            };
+            let mut feed = Feed::Direct { workload, resolver };
             engine.run(&mut feed);
             return engine.into_stats();
         }
@@ -339,7 +323,7 @@ impl Simulator {
                     .map(|i| (i, txs[i].take().expect("sender claimed once")))
                     .collect();
                 let gen = &gen;
-                scope.spawn(move || lane_worker(gen, resolver, mine, exec));
+                scope.spawn(move || lane_worker(gen, resolver, mine));
             }
             // If the merge loop panics (max_steps, deadlock assert), the
             // receivers drop during unwinding, the workers' try_send fails
@@ -359,12 +343,7 @@ fn lane_worker(
     gen: &Mutex<&mut dyn Workload>,
     resolver: &Resolver,
     mine: Vec<(usize, SyncSender<Resolved>)>,
-    exec: ExecMode,
 ) {
-    // Each lane owns a private compiled-program cache: compilation is a
-    // pure function of (section, resolver), so per-lane caches stay
-    // deterministic at any lane count.
-    let mut compiler = Compiler::new(resolver);
     struct Slot {
         tid: usize,
         tx: SyncSender<Resolved>,
@@ -395,7 +374,7 @@ fn lane_worker(
                 };
                 slot.pending = Some(match section {
                     None => Resolved::Done,
-                    Some(s) => resolver.resolve(s, exec, &mut compiler),
+                    Some(s) => resolver.resolve_into(s, AccessProgram::default()),
                 });
             }
             let item = slot.pending.take().expect("pending set above");
@@ -440,10 +419,10 @@ struct Engine<'e, S: SinkPort> {
     /// instead of probing every controller.
     active: u64,
     sink: S,
-    /// Retired `Program`s whose op buffers the serial feed reuses, so
-    /// steady-state section resolution allocates nothing. Capped at the
+    /// Retired programs whose slot buffers the serial feed lowers into, so
+    /// steady-state section lowering allocates nothing. Capped at the
     /// thread count (the most programs ever live at once).
-    pool: Vec<Program>,
+    pool: Vec<AccessProgram>,
     uses_dynamic: bool,
     /// `true` only for the PStretch capacity model: gates the per-access
     /// stretch-event probe so every other model's hot path is untouched.
@@ -468,7 +447,6 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                     resume_at: Cycles::ZERO,
                     prog: None,
                     core: CoreId((i / smt) as u32),
-                    suspended: false,
                     touched_safe_pages: Vec::new(),
                     attempt_breakdown: [0; 3],
                     fp_all: HashSet::new(),
@@ -670,7 +648,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                     Resolved::Done => self.threads[i].mode = Mode::Done,
                     Resolved::Barrier => self.threads[i].mode = Mode::AtBarrier,
                     Resolved::Program(p) => {
-                        let tx = p.tx;
+                        let tx = p.is_tx();
                         self.threads[i].prog = Some(p);
                         if tx {
                             self.try_begin_tx(i);
@@ -811,7 +789,6 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         let t = &mut self.threads[i];
         t.htm.begin_at(now);
         self.active |= 1 << i;
-        t.suspended = false;
         t.touched_safe_pages.clear();
         t.attempt_breakdown = [0; 3];
         t.fp_all.clear();
@@ -865,7 +842,6 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             });
         }
         self.threads[j].clock += self.cfg.abort_penalty + unroll;
-        self.threads[j].suspended = false;
         self.threads[j].touched_safe_pages.clear();
 
         debug_assert!(
@@ -889,88 +865,16 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
     }
 
-    /// Executes the slot at `pos` of thread `i`'s program through the
-    /// configured execution tier. `in_tx` marks speculative execution
-    /// (fallback and non-TX sections pass `false`).
+    /// Executes the slot at `pos` of thread `i`'s program straight from its
+    /// packed (opword, payload, site) form. `in_tx` marks speculative
+    /// execution (fallback and non-TX sections pass `false`). Suspend and
+    /// resume are step-consuming no-ops: escape membership is pre-resolved
+    /// into each access slot's `F_ESCAPED` bit, and the access record plus
+    /// its block/page split are rebuilt with register arithmetic only on
+    /// the access path.
     #[inline]
     fn exec_at(&mut self, i: usize, pos: usize, in_tx: bool) -> StepOutcome {
-        match self.cfg.exec {
-            ExecMode::Interp => {
-                let op = self.threads[i].prog.as_ref().expect("program").ops[pos];
-                self.exec_op(i, op, in_tx)
-            }
-            ExecMode::Compiled => {
-                let (w, payload, site) = self.threads[i]
-                    .prog
-                    .as_ref()
-                    .expect("program")
-                    .code
-                    .as_deref()
-                    .expect("compiled program")
-                    .packed(pos);
-                self.exec_packed(i, w, payload, site, in_tx)
-            }
-            ExecMode::Both => {
-                let prog = self.threads[i].prog.as_ref().expect("program");
-                let op = prog.ops[pos];
-                let (w, cost, block, page, access) =
-                    prog.code.as_deref().expect("compiled program").slot(pos);
-                self.check_lockstep(i, pos, op, w, cost, block, page, access);
-                self.exec_slot(i, w, cost, block, page, access, in_tx)
-            }
-        }
-    }
-
-    /// Interpreter tier: execute one pre-resolved `POp`.
-    fn exec_op(&mut self, i: usize, op: POp, in_tx: bool) -> StepOutcome {
-        match op.op {
-            OpKind::Compute => {
-                self.threads[i].clock += Cycles(op.cost);
-                StepOutcome::Continue
-            }
-            OpKind::Suspend => {
-                debug_assert!(!self.threads[i].suspended, "nested suspend");
-                self.threads[i].suspended = true;
-                StepOutcome::Continue
-            }
-            OpKind::Resume => {
-                debug_assert!(self.threads[i].suspended, "resume without suspend");
-                self.threads[i].suspended = false;
-                StepOutcome::Continue
-            }
-            OpKind::Access => {
-                // Escape-action window: the access executes
-                // non-transactionally.
-                let in_tx = in_tx && !self.threads[i].suspended;
-                self.exec_access(
-                    i,
-                    op.access,
-                    op.block,
-                    op.page,
-                    op.flags & F_STATIC_SAFE != 0,
-                    op.flags & F_RAW_STATIC != 0,
-                    in_tx,
-                )
-            }
-        }
-    }
-
-    /// Compiled tier: execute one packed `AccessProgram` slot straight
-    /// from its (opword, payload, site) form. Suspend/resume are
-    /// step-consuming no-ops (escape membership is pre-resolved into each
-    /// access slot's `F_ESCAPED` bit), the opword replaces both the kind
-    /// dispatch and the runtime `suspended` test, and the access record
-    /// plus its block/page split are rebuilt with register arithmetic only
-    /// on the access path.
-    #[inline]
-    fn exec_packed(
-        &mut self,
-        i: usize,
-        w: u8,
-        payload: u64,
-        site: SiteId,
-        in_tx: bool,
-    ) -> StepOutcome {
+        let (w, payload, site) = self.threads[i].prog.as_ref().expect("program").packed(pos);
         match w & K_MASK {
             K_COMPUTE => {
                 self.threads[i].clock += Cycles(payload);
@@ -978,27 +882,13 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             }
             K_SUSPEND | K_RESUME => StepOutcome::Continue,
             _ => {
-                let addr = Addr::new(payload);
-                let access = MemAccess {
-                    addr,
-                    kind: if w & F_STORE != 0 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    },
-                    site,
-                    hint: if w & F_HINT_SAFE != 0 {
-                        SafetyHint::Safe
-                    } else {
-                        SafetyHint::Unsafe
-                    },
-                };
+                let access = decode_access(w, payload, site);
                 let in_tx = in_tx && w & F_ESCAPED == 0;
                 self.exec_access(
                     i,
                     access,
-                    addr.block(),
-                    addr.page(),
+                    access.addr.block(),
+                    access.addr.page(),
                     w & F_STATIC_SAFE != 0,
                     w & F_RAW_STATIC != 0,
                     in_tx,
@@ -1007,90 +897,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
     }
 
-    /// Compiled tier, widened form (`both` mode): execute one
-    /// already-reconstructed `AccessProgram` slot.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_slot(
-        &mut self,
-        i: usize,
-        w: u8,
-        cost: u64,
-        block: BlockAddr,
-        page: PageId,
-        access: MemAccess,
-        in_tx: bool,
-    ) -> StepOutcome {
-        match w & K_MASK {
-            K_COMPUTE => {
-                self.threads[i].clock += Cycles(cost);
-                StepOutcome::Continue
-            }
-            K_SUSPEND | K_RESUME => StepOutcome::Continue,
-            _ => {
-                let in_tx = in_tx && w & F_ESCAPED == 0;
-                self.exec_access(
-                    i,
-                    access,
-                    block,
-                    page,
-                    w & F_STATIC_SAFE != 0,
-                    w & F_RAW_STATIC != 0,
-                    in_tx,
-                )
-            }
-        }
-    }
-
-    /// `both` mode: assert the interpreter decode of slot `pos` agrees
-    /// with the compiled slot, then keep the interpreter-visible escape
-    /// state in sync so `F_ESCAPED` can be checked against it.
-    #[allow(clippy::too_many_arguments)]
-    fn check_lockstep(
-        &mut self,
-        i: usize,
-        pos: usize,
-        op: POp,
-        w: u8,
-        cost: u64,
-        block: BlockAddr,
-        page: PageId,
-        access: MemAccess,
-    ) {
-        let kind_ok = matches!(
-            (op.op, w & K_MASK),
-            (OpKind::Access, K_ACCESS)
-                | (OpKind::Compute, K_COMPUTE)
-                | (OpKind::Suspend, K_SUSPEND)
-                | (OpKind::Resume, K_RESUME)
-        );
-        let mut ok = kind_ok;
-        match op.op {
-            OpKind::Compute => ok &= cost == op.cost,
-            OpKind::Access => {
-                ok &=
-                    w & (F_STATIC_SAFE | F_RAW_STATIC) == op.flags & (F_STATIC_SAFE | F_RAW_STATIC);
-                ok &= (w & F_STORE != 0) == (op.access.kind == AccessKind::Store);
-                ok &= (w & F_ESCAPED != 0) == self.threads[i].suspended;
-                ok &= block == op.block && page == op.page && access == op.access;
-            }
-            OpKind::Suspend | OpKind::Resume => {}
-        }
-        assert!(
-            ok,
-            "exec-tier divergence at thread {i} slot {pos}: interpreter decoded \
-             {op:?} (suspended={}), compiled slot word={w:#010b} cost={cost} \
-             block={block:?} page={page:?} access={access:?}",
-            self.threads[i].suspended
-        );
-        match op.op {
-            OpKind::Suspend => self.threads[i].suspended = true,
-            OpKind::Resume => self.threads[i].suspended = false,
-            _ => {}
-        }
-    }
-
-    /// The shared six-stage access pipeline both tiers feed: VM +
+    /// The six-stage access pipeline: VM +
     /// shootdowns, safety verdicts, cache probe, eager conflict detection,
     /// L1-eviction capacity aborts, profiling + transactional tracking.
     /// `in_tx` already accounts for escape windows.

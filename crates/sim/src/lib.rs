@@ -49,7 +49,7 @@ pub mod section;
 pub mod stats;
 
 pub use compile::{AccessProgram, SectionCompiler};
-pub use config::{ExecMode, HintMode, SimConfig};
+pub use config::{HintMode, SimConfig};
 pub use engine::Simulator;
 pub use hintm_trace::{Recording, TraceEvent, TraceSink};
 pub use section::{

@@ -1,9 +1,9 @@
-//! Static-to-compiled correspondence: the access programs the batch
-//! compiler emits for the real workload suite must land inside the
+//! Static-to-compiled correspondence: the access programs the section
+//! lowering emits for the real workload suite must land inside the
 //! footprint envelope `hintm analyze` derives from each workload's IR
 //! module.
 //!
-//! The static pipeline and the compiled execution tier describe the same
+//! The static pipeline and the engine's lowering describe the same
 //! transactions from opposite ends — one bounds distinct cache blocks from
 //! the IR, the other lowers the concrete generated sections to flat
 //! slot arrays with an exact per-program block count. For every workload

@@ -1,29 +1,30 @@
-//! Compiled-vs-interpreted differential fuzzer.
+//! Serial-vs-lane differential fuzzer.
 //!
-//! The batch compiler (`--exec compiled`) lowers every resolved section
-//! into a flat access program and the engine probes the caches straight
-//! from it; the interpreter walks the resolved op list. The two tiers
-//! share no lowering code, so the only thing keeping them equal is the
-//! contract this test enforces: **for any module, every observable output
-//! is bit-identical across tiers** — the full FNV-64 trace digest (every
-//! lifecycle event, access, eviction, shootdown, barrier epoch in
-//! scheduling order) and the complete `RunStats` fingerprint.
+//! The engine runs a workload either serially — the merge loop generates
+//! each section and lowers it into the buffer of a retired program — or on
+//! host lanes (`--sim-threads`), where lane workers generate and lower
+//! sections ahead of execution into fresh buffers and the merge loop
+//! replays them in canonical core order. The contract this test enforces:
+//! **for any module, every observable output is bit-identical at 1 and 4
+//! lanes** — the full FNV-64 trace digest (every lifecycle event, access,
+//! eviction, shootdown, barrier epoch in scheduling order) and the
+//! complete `RunStats` fingerprint. The blessed digest table covers only
+//! the ten suite workloads; this covers arbitrary ones.
 //!
 //! The fuzzer feeds ≥256 seeded random IR modules (the footprint property
 //! suite's generator, extended with geps, branches, pointer stores and
 //! calls) through [`hintm_workloads::IrExec`], which turns an arbitrary
-//! module into a deterministic workload. Each case runs interp, compiled,
-//! and lockstep (`both` — which panics loudly on the first diverging
-//! access) across a rotating HTM model × hint mode, with a slice of cases
-//! additionally escape-encoded so the compiler's suspend/resume lowering
-//! is exercised.
+//! module into a deterministic workload with thread-local generation, so
+//! the lane engine engages. Each case runs across a rotating HTM model ×
+//! hint mode, with a slice of cases additionally escape-encoded so the
+//! lowering's suspend/resume folding is exercised.
 //!
 //! On a mismatch the failing module is shrunk by greedily dropping
 //! statements from its functions while the divergence reproduces, then
 //! pretty-printed, so the report is a minimal reproducer rather than a
 //! 40-statement haystack.
 
-use hintm::{ExecMode, HtmKind};
+use hintm::HtmKind;
 use hintm_ir::{print_module, Module, ModuleBuilder};
 use hintm_sim::{EscapeEncoded, HintMode, SimConfig, Simulator, Workload};
 use hintm_trace::DigestSink;
@@ -33,6 +34,8 @@ use hintm_workloads::IrExec;
 use std::fmt::Write as _;
 
 const CASES: usize = 256;
+/// Lane counts compared: the serial feed against the lane engine.
+const LANES: [usize; 2] = [1, 4];
 const MODELS: [HtmKind; 8] = [
     HtmKind::P8,
     HtmKind::P8S,
@@ -130,7 +133,7 @@ fn rand_module(rng: &mut SmallRng) -> Module {
 }
 
 /// The per-case simulator configuration, rotated so the fuzzer sweeps
-/// every HTM model and hint mode (hinted runs drive the compiler's
+/// every HTM model and hint mode (hinted runs drive the lowering's
 /// static-safe and escape-window slot flags).
 fn config(case: usize) -> SimConfig {
     SimConfig::with_htm(MODELS[case % MODELS.len()]).hint_mode(HINTS[case % HINTS.len()])
@@ -140,48 +143,50 @@ fn workload(module: &Module, case: usize) -> Box<dyn Workload> {
     let inner = IrExec::new(module.clone(), 2 + case % 3, 1 + case % 2);
     if case.is_multiple_of(5) {
         // Escape-encode a slice of cases: safe sites become suspend/resume
-        // windows in the op stream, covering the compiled tier's
-        // suspend/resume opwords.
+        // windows in the op stream, covering the suspend/resume opwords
+        // and escape folding.
         Box::new(EscapeEncoded::new(Box::new(inner)))
     } else {
         Box::new(inner)
     }
 }
 
-fn fingerprint(module: &Module, case: usize, exec: ExecMode) -> (u64, String) {
+fn fingerprint(module: &Module, case: usize, lanes: usize) -> (u64, String) {
     let mut w = workload(module, case);
     let mut sink = DigestSink::new();
-    let stats = Simulator::new(config(case).exec(exec)).run_with_sink(w.as_mut(), 42, &mut sink);
+    let stats =
+        Simulator::new(config(case).sim_threads(lanes)).run_with_sink(w.as_mut(), 42, &mut sink);
     (sink.digest(), format!("{stats:?}"))
 }
 
-/// Runs `module` under interp and compiled; `Some(description)` if any
+/// Runs `module` serially and on lanes; `Some(description)` if any
 /// observable output differs.
 fn mismatch(module: &Module, case: usize) -> Option<String> {
-    let (di, si) = fingerprint(module, case, ExecMode::Interp);
-    let (dc, sc) = fingerprint(module, case, ExecMode::Compiled);
-    if di != dc {
+    let [serial, laned] = LANES;
+    let (ds, ss) = fingerprint(module, case, serial);
+    let (dl, sl) = fingerprint(module, case, laned);
+    if ds != dl {
         return Some(format!(
-            "trace digest {di:016x} (interp) != {dc:016x} (compiled)"
+            "trace digest {ds:016x} ({serial} lane) != {dl:016x} ({laned} lanes)"
         ));
     }
-    if si != sc {
+    if ss != sl {
         return Some(format!(
-            "RunStats diverged:\n  interp:   {si}\n  compiled: {sc}"
+            "RunStats diverged:\n  {serial} lane:  {ss}\n  {laned} lanes: {sl}"
         ));
     }
     None
 }
 
 /// Per-model abort-kind histograms for a (usually minimized) module: the
-/// module is re-run under every HTM model at the failing case's hint mode
-/// (interp tier), and each model's abort counts are tabulated by
+/// module is re-run serially under every HTM model at the failing case's
+/// hint mode, and each model's abort counts are tabulated by
 /// [`AbortKind`]. Attached to the minimal-reproducer report so a
 /// divergence can be read against how each capacity model actually aborts
-/// on the same access stream — a compiled-tier bug that only shows under
-/// one model usually correlates with that model's abort column.
+/// on the same access stream — a lane bug that only shows under one model
+/// usually correlates with that model's abort column.
 fn abort_histograms(module: &Module, case: usize) -> String {
-    let mut out = String::from("per-model abort-kind histogram (interp):\n");
+    let mut out = String::from("per-model abort-kind histogram (serial):\n");
     writeln!(
         out,
         "  {:>8}  {:>8} {:>8} {:>14} {:>9} {:>13}",
@@ -230,30 +235,20 @@ fn shrink(mut module: Module, case: usize) -> Module {
 }
 
 #[test]
-fn random_modules_execute_identically_across_tiers() {
+fn random_modules_execute_identically_at_every_lane_count() {
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
     for case in 0..CASES {
         let module = rand_module(&mut rng);
         if let Some(why) = mismatch(&module, case) {
             let minimal = shrink(module, case);
             panic!(
-                "case {case} ({:?} x {:?}): compiled tier diverged from the \
-                 interpreter: {why}\nminimized reproducer:\n{}\n{}",
+                "case {case} ({:?} x {:?}): the lane engine diverged from the \
+                 serial run: {why}\nminimized reproducer:\n{}\n{}",
                 MODELS[case % MODELS.len()],
                 HINTS[case % HINTS.len()],
                 print_module(&minimal, None),
                 abort_histograms(&minimal, case),
             );
         }
-        // Lockstep mode re-runs the case with both tiers marching together;
-        // `check_lockstep` panics with op-level context on the first
-        // diverging slot, so reaching the end is the assertion.
-        let (db, sb) = fingerprint(&module, case, ExecMode::Both);
-        let (di, si) = fingerprint(&module, case, ExecMode::Interp);
-        assert_eq!(
-            (db, sb),
-            (di, si),
-            "case {case}: lockstep run diverged from interp"
-        );
     }
 }

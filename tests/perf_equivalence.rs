@@ -22,13 +22,12 @@
 //! is re-taken at `--sim-threads` 2 and 4 and must match the serial run
 //! bit-for-bit (see [`LANE_COUNTS`]).
 //!
-//! And it locks the batch-compiled execution tier the same way: every
-//! fingerprint is re-taken at `--exec compiled` and `--exec both`
-//! (serially and at every lane count) and must reproduce the interpreter's
-//! digests exactly — the compiler has no license to drift, not even by one
-//! abort or one eviction (see [`EXEC_MODES`]).
+//! The table was taken from an engine that interpreted flat resolved ops;
+//! today's engine executes packed access programs instead, so the table is
+//! also what keeps the lowering honest — not even one abort or one eviction
+//! of drift is allowed.
 
-use hintm::{ExecMode, Experiment, HtmKind};
+use hintm::{Experiment, HtmKind};
 use hintm_trace::{DigestSink, Fnv64};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -59,22 +58,16 @@ include!("golden/digest_table.inc");
 /// and stats must be bit-identical at every count.
 const LANE_COUNTS: [usize; 2] = [2, 4];
 
-/// Non-default execution tiers every fingerprint must be invariant under:
-/// the compiled tier probes the caches from flat access programs instead
-/// of interpreting resolved ops, and `both` runs the tiers in lockstep.
-const EXEC_MODES: [ExecMode; 2] = [ExecMode::Compiled, ExecMode::Both];
-
 /// Runs `workload` under `htm` with a pure digest sink and returns
 /// `(trace_digest, stats_fingerprint)`. The stats fingerprint hashes the
 /// canonical JSON of the whole `RunReport`, so *any* drift in `RunStats`
 /// (cycles, aborts, cache/VM counters, censuses) changes it.
-fn fingerprint(workload: &str, htm: HtmKind, lanes: usize, exec: ExecMode) -> (u64, u64) {
+fn fingerprint(workload: &str, htm: HtmKind, lanes: usize) -> (u64, u64) {
     let mut sink = DigestSink::new();
     let report = Experiment::new(workload)
         .htm(htm)
         .seed(SEED)
         .sim_threads(lanes)
-        .exec(exec)
         .run_with_sink(&mut sink)
         .expect("registered workload");
     let stats_fp = Fnv64::hash(report.to_json().as_bytes());
@@ -91,7 +84,7 @@ fn blessed_row(workload: &str) -> Option<&'static [(u64, u64); 8]> {
 fn check(workload: &str) {
     let got: Vec<(u64, u64)> = MODELS
         .iter()
-        .map(|&m| fingerprint(workload, m, 1, ExecMode::Interp))
+        .map(|&m| fingerprint(workload, m, 1))
         .collect();
 
     if std::env::var_os("HINTM_BLESS").is_some_and(|v| v == "1") {
@@ -103,29 +96,12 @@ fn check(workload: &str) {
     // fingerprints exactly, per model, at every lane count.
     for lanes in LANE_COUNTS {
         for (i, &m) in MODELS.iter().enumerate() {
-            let sharded = fingerprint(workload, m, lanes, ExecMode::Interp);
+            let sharded = fingerprint(workload, m, lanes);
             assert_eq!(
                 sharded, got[i],
                 "{workload} x {m}: output at --sim-threads {lanes} diverged \
                  from the serial run (seed {SEED})"
             );
-        }
-    }
-
-    // Exec-tier invariance: the compiled tier (and the lockstep tier, and
-    // their combinations with the lane engine) must reproduce the serial
-    // interpreter's fingerprints exactly, per model.
-    for exec in EXEC_MODES {
-        for lanes in [1, LANE_COUNTS[0], LANE_COUNTS[1]] {
-            for (i, &m) in MODELS.iter().enumerate() {
-                let compiled = fingerprint(workload, m, lanes, exec);
-                assert_eq!(
-                    compiled, got[i],
-                    "{workload} x {m}: output at --exec {exec} \
-                     --sim-threads {lanes} diverged from the serial \
-                     interpreted run (seed {SEED})"
-                );
-            }
         }
     }
 
