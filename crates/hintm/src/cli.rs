@@ -1,7 +1,7 @@
 //! Command-line interface: argument parsing and command execution for the
 //! `hintm` binary.
 //!
-//! Hand-rolled parsing (no CLI dependency): three subcommands —
+//! Hand-rolled parsing (no CLI dependency), e.g.
 //!
 //! ```text
 //! hintm list
@@ -12,11 +12,13 @@
 //! hintm audit [--workloads a,b | --all] [--seed N] [--scale ...]
 //! hintm trace <workload> [run options] [--events N] [--out <dir>]
 //! ```
+//!
+//! The run-configuration flags are the [`AXES`] table's: one parser
+//! (`axis_flag`) serves `run`/`suite`, `trace` and `sweep`.
 
 use crate::json::{analyze_report_to_json, audit_report_to_json, Json};
 use crate::{
-    chrome_trace, write_binlog, AbortKind, AllocConfig, Experiment, HintMode, HtmKind, RunReport,
-    Scale, WORKLOAD_NAMES,
+    chrome_trace, write_binlog, AbortKind, Cell, RunReport, Scale, SweepSpec, AXES, WORKLOAD_NAMES,
 };
 use hintm_audit::{AnalyzeReport, AuditReport};
 use std::fmt;
@@ -171,30 +173,10 @@ impl Default for TraceArgs {
 /// Options for `hintm sweep`. Parsing lives here with the other commands;
 /// execution lives in the `hintm-runner` crate (which depends on this
 /// one), so [`execute`] rejects it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepArgs {
-    /// Workloads to sweep (empty = every registered workload).
-    pub workloads: Vec<String>,
-    /// HTM configurations to sweep (empty = `[P8]`).
-    pub htms: Vec<HtmKind>,
-    /// Hint modes to sweep (empty = `[off]`).
-    pub hints: Vec<HintMode>,
-    /// Seeds to sweep (empty = `[42]`).
-    pub seeds: Vec<u64>,
-    /// Input scale.
-    pub scale: Scale,
-    /// Thread-count override.
-    pub threads: Option<usize>,
-    /// Host generation threads per cell (per-core lanes; results are
-    /// bit-identical for every value, so the cache is shared across it).
-    pub sim_threads: usize,
-    /// 2-way SMT.
-    pub smt2: bool,
-    /// §VI-B preserve optimization.
-    pub preserve: bool,
-    /// Heap-placement color strides to sweep (empty = `[0]`, the packed
-    /// default). A result-affecting axis, unlike `sim_threads`.
-    pub alloc_colors: Vec<u64>,
+    /// The swept axes (see [`AXES`]).
+    pub spec: SweepSpec,
     /// Sweep a three-workload smoke subset instead of every registered
     /// workload (ignored when `--workloads` names them explicitly).
     pub smoke: bool,
@@ -221,38 +203,11 @@ pub struct SweepArgs {
     pub trace: bool,
 }
 
-impl Default for SweepArgs {
-    fn default() -> Self {
-        SweepArgs {
-            workloads: Vec::new(),
-            htms: Vec::new(),
-            hints: Vec::new(),
-            seeds: Vec::new(),
-            scale: Scale::Sim,
-            threads: None,
-            sim_threads: 1,
-            smt2: false,
-            preserve: false,
-            alloc_colors: Vec::new(),
-            smoke: false,
-            jobs: None,
-            no_cache: false,
-            resume: false,
-            cache_dir: None,
-            out: None,
-            csv: false,
-            audit: false,
-            analyze: false,
-            trace: false,
-        }
-    }
-}
-
 /// Options for `hintm perf`. Parsing lives here with the other commands;
 /// execution lives in the `hintm-runner` crate, so [`execute`] rejects it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfArgs {
-    /// Use the 3-cell smoke grid instead of the full pinned grid.
+    /// Use the 5-cell smoke grid instead of the full pinned grid.
     pub smoke: bool,
     /// Host generation threads used for every timed run. Recorded in the
     /// snapshot; baselines taken at a different thread count refuse to
@@ -290,55 +245,15 @@ impl Default for PerfArgs {
 }
 
 /// Options shared by `run` and `suite`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunArgs {
-    /// Workload name (`run` only; ignored by `suite`).
-    pub workload: Option<String>,
-    /// HTM configuration.
-    pub htm: HtmKind,
-    /// Hint mode.
-    pub hints: HintMode,
-    /// Run seed.
-    pub seed: u64,
-    /// Input scale.
-    pub scale: Scale,
-    /// Thread-count override.
-    pub threads: Option<usize>,
-    /// Host threads for section generation (per-core lanes; results are
-    /// bit-identical for every value).
-    pub sim_threads: usize,
-    /// 2-way SMT.
-    pub smt2: bool,
-    /// §VI-B preserve optimization.
-    pub preserve: bool,
-    /// Heap-placement color stride in bytes (`--alloc-color`): padding
-    /// inserted after every fresh heap allocation. `0` keeps the packed
-    /// default. Unlike `sim_threads` this changes simulated
-    /// addresses, so it changes results.
-    pub alloc_color: u64,
+    /// The run configuration. `run` requires its workload; `suite` runs
+    /// every registered workload and ignores it.
+    pub cell: Cell,
     /// Emit CSV instead of a table.
     pub csv: bool,
     /// Print a lifecycle timeline after the run (`run` only).
     pub trace: bool,
-}
-
-impl Default for RunArgs {
-    fn default() -> Self {
-        RunArgs {
-            workload: None,
-            htm: HtmKind::P8,
-            hints: HintMode::Off,
-            seed: 42,
-            scale: Scale::Sim,
-            threads: None,
-            sim_threads: 1,
-            smt2: false,
-            preserve: false,
-            alloc_color: 0,
-            csv: false,
-            trace: false,
-        }
-    }
 }
 
 /// Usage text.
@@ -397,14 +312,15 @@ verifier error):
   --scale <s>              scale the module annotations describe         [sim]
   --json                   emit a JSON report instead of the table
 
-SWEEP OPTIONS (comma-separated lists sweep the cross product):
+SWEEP OPTIONS (comma-separated lists sweep the cross product; the run
+spellings --workload, --seed and --alloc-color take lists too):
   --workloads <a,b,..>     workloads to sweep                  [all registered]
   --htm <k1,k2,..>         HTM configurations to sweep                    [p8]
   --models <k1,k2,..>      alias for --htm
   --hints <m1,m2,..>       hint modes to sweep                           [off]
   --seeds <n1,n2,..>       seeds to sweep                                 [42]
   --alloc-colors <b1,b2,.> heap-placement color strides to sweep (a
-                           result-affecting axis; --alloc-color also works) [0]
+                           result-affecting axis)                          [0]
   --smoke                  sweep a fast three-workload smoke subset instead
                            of every registered workload
   --scale / --threads / --sim-threads / --smt2 / --preserve
@@ -432,7 +348,7 @@ the result cache across workers and repeat submissions):
 
 PERF OPTIONS (times the pinned grid, writes BENCH_<date>.json, and fails
 when the median events/sec regresses past the threshold):
-  --smoke                  3-cell smoke grid instead of the full 15-cell grid
+  --smoke                  5-cell smoke grid instead of the full 25-cell grid
   --threads <n>            host generation threads for every timed run;
                            recorded in the snapshot, and baselines taken at a
                            different count refuse to compare               [1]
@@ -448,63 +364,9 @@ when the median events/sec regresses past the threshold):
   --no-compare             measure and write the snapshot only
 ";
 
-/// Parses an HTM configuration name (`p8`, `infcap`, ...) as the CLI and
-/// the server's sweep-spec JSON spell it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_htm(v: &str) -> Result<HtmKind, CliError> {
-    match v.to_ascii_lowercase().as_str() {
-        "p8" => Ok(HtmKind::P8),
-        "p8s" => Ok(HtmKind::P8S),
-        "l1tm" => Ok(HtmKind::L1Tm),
-        "infcap" => Ok(HtmKind::InfCap),
-        "rot" => Ok(HtmKind::Rot),
-        "logtm" => Ok(HtmKind::LogTm),
-        "lrws" => Ok(HtmKind::Lrws),
-        "pstretch" => Ok(HtmKind::PStretch),
-        other => Err(CliError(format!("unknown --htm `{other}`"))),
-    }
-}
-
-/// Parses a hint-mode name (`off`, `static`, `dynamic`, `full`, plus the
-/// `st`/`dyn` aliases) as the CLI and the server's sweep-spec JSON spell
-/// it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_hints(v: &str) -> Result<HintMode, CliError> {
-    match v.to_ascii_lowercase().as_str() {
-        "off" => Ok(HintMode::Off),
-        "static" | "st" => Ok(HintMode::Static),
-        "dynamic" | "dyn" => Ok(HintMode::Dynamic),
-        "full" => Ok(HintMode::Full),
-        other => Err(CliError(format!("unknown --hints `{other}`"))),
-    }
-}
-
-/// Parses a scale name (`sim` | `large`) as the CLI and the server's
-/// sweep-spec JSON spell it.
-///
-/// # Errors
-///
-/// Returns [`CliError`] on an unknown name.
-pub fn parse_scale(v: &str) -> Result<Scale, CliError> {
-    match v.to_ascii_lowercase().as_str() {
-        "sim" => Ok(Scale::Sim),
-        "large" => Ok(Scale::Large),
-        other => Err(CliError(format!("unknown --scale `{other}`"))),
-    }
-}
-
-/// The inverse of [`parse_scale`]: a scale's canonical name.
-pub fn scale_str(s: Scale) -> &'static str {
-    match s {
-        Scale::Sim => "sim",
-        Scale::Large => "large",
-    }
+/// A scale's canonical name (its `Display` form).
+pub fn scale_str(s: Scale) -> String {
+    s.to_string()
 }
 
 /// Parses an argument vector (without the program name).
@@ -530,48 +392,19 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "run" | "suite" => {
             let mut ra = RunArgs::default();
             let mut i = 1;
-            let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| CliError(format!("{flag} requires a value")))
-            };
             while i < args.len() {
-                match args[i].as_str() {
-                    "--workload" => ra.workload = Some(value(&mut i, "--workload")?),
-                    "--htm" => ra.htm = parse_htm(&value(&mut i, "--htm")?)?,
-                    "--hints" => ra.hints = parse_hints(&value(&mut i, "--hints")?)?,
-                    "--seed" => {
-                        let v = value(&mut i, "--seed")?;
-                        ra.seed = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad --seed `{v}`")))?;
+                if !cell_flag(args, &mut i, &mut ra.cell)? {
+                    match args[i].as_str() {
+                        "--csv" => ra.csv = true,
+                        "--trace" => ra.trace = true,
+                        other => return Err(CliError(format!("unknown flag `{other}`"))),
                     }
-                    "--scale" => ra.scale = parse_scale(&value(&mut i, "--scale")?)?,
-                    "--threads" => {
-                        let v = value(&mut i, "--threads")?;
-                        ra.threads = Some(
-                            v.parse()
-                                .map_err(|_| CliError(format!("bad --threads `{v}`")))?,
-                        );
-                    }
-                    "--sim-threads" => {
-                        let v = value(&mut i, "--sim-threads")?;
-                        ra.sim_threads = parse_sim_threads(&v)?;
-                    }
-                    "--smt2" => ra.smt2 = true,
-                    "--preserve" => ra.preserve = true,
-                    "--alloc-color" => {
-                        ra.alloc_color = parse_alloc_color(&value(&mut i, "--alloc-color")?)?;
-                    }
-                    "--csv" => ra.csv = true,
-                    "--trace" => ra.trace = true,
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
+            ra.cell.check().map_err(CliError)?;
             if sub == "run" {
-                if ra.workload.is_none() {
+                if ra.cell.workload.is_empty() {
                     return Err(CliError("`run` requires --workload <name>".into()));
                 }
                 Ok(Command::Run(ra))
@@ -585,50 +418,96 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-/// Parses a heap-placement color stride in bytes (`--alloc-color`).
-fn parse_alloc_color(v: &str) -> Result<u64, CliError> {
-    v.parse()
-        .map_err(|_| CliError(format!("bad --alloc-color `{v}` (expected bytes >= 0)")))
-}
-
-/// Parses a host-thread count (at least 1) for the parallel engine.
-fn parse_sim_threads(v: &str) -> Result<usize, CliError> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(CliError(format!(
-            "bad thread count `{v}` (expected an integer >= 1)"
-        ))),
+/// Reads the axis flag at `args[*i]`, if it is one, advancing `i` past
+/// its value: returns the axis's index in [`AXES`] and its value(s) as
+/// JSON, typed like the axis renders (a string or a number; a flag whose
+/// axis renders as a boolean takes no value and means `true`). With
+/// `sweep`, an axis with a [`list`](crate::Axis::list) name also answers
+/// to that name as a flag (and `--models` is `--htm`), and its value is a
+/// comma-separated list.
+fn axis_flag(
+    args: &[String],
+    i: &mut usize,
+    sweep: bool,
+) -> Result<Option<(usize, Vec<Json>)>, CliError> {
+    let flag = match args[*i].as_str() {
+        "--models" if sweep => "--htm",
+        flag => flag,
+    };
+    let list_flag = flag.strip_prefix("--").map(|f| f.replace('-', "_"));
+    let Some(axis) = AXES.iter().position(|a| {
+        a.flag == Some(flag) || (sweep && a.list.is_some() && a.list == list_flag.as_deref())
+    }) else {
+        return Ok(None);
+    };
+    let shape = (AXES[axis].render)(&Cell::default());
+    if let Json::Bool(_) = shape {
+        return Ok(Some((axis, vec![Json::Bool(true)])));
     }
+    let text = value(args, i)?;
+    let pieces: Vec<&str> = if sweep && AXES[axis].list.is_some() {
+        text.split(',').filter(|s| !s.is_empty()).collect()
+    } else {
+        vec![&text]
+    };
+    let values = pieces
+        .into_iter()
+        .map(|p| match shape {
+            Json::Str(_) => Json::Str(p.into()),
+            _ => Json::Num(p.into()),
+        })
+        .collect();
+    Ok(Some((axis, values)))
 }
 
-/// Splits a comma-separated flag value, mapping each piece through `f`.
-fn parse_list<T>(v: &str, f: impl Fn(&str) -> Result<T, CliError>) -> Result<Vec<T>, CliError> {
-    v.split(',').filter(|s| !s.is_empty()).map(f).collect()
+/// Applies the axis flag at `args[*i]` to `cell`; `false` when the
+/// argument is not an axis flag.
+fn cell_flag(args: &[String], i: &mut usize, cell: &mut Cell) -> Result<bool, CliError> {
+    let flag = args[*i].clone();
+    let Some((axis, values)) = axis_flag(args, i, false)? else {
+        return Ok(false);
+    };
+    for v in &values {
+        (AXES[axis].parse)(cell, v).map_err(|e| CliError(format!("bad {flag}: {e}")))?;
+    }
+    Ok(true)
+}
+
+/// The value of the flag at `args[*i]`, advancing `i` past it.
+fn value(args: &[String], i: &mut usize) -> Result<String, CliError> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .cloned()
+        .ok_or_else(|| CliError(format!("{flag} requires a value")))
+}
+
+/// The value of the flag at `args[*i]` parsed as a `T`, advancing `i`
+/// past it.
+fn parsed<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, CliError> {
+    let flag = args[*i].clone();
+    let v = value(args, i)?;
+    v.parse().map_err(|_| CliError(format!("bad {flag} `{v}`")))
+}
+
+/// Splits a comma-separated list of names.
+fn names(v: &str) -> Vec<String> {
+    v.split(',')
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect()
 }
 
 fn parse_audit(args: &[String]) -> Result<Command, CliError> {
     let mut aa = AuditArgs::default();
     let mut all = false;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--workloads" => {
-                aa.workloads = parse_list(&value(&mut i, "--workloads")?, |s| Ok(s.to_string()))?;
-            }
+            "--workloads" => aa.workloads = names(&value(args, &mut i)?),
             "--all" => all = true,
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                aa.seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --seed `{v}`")))?;
-            }
-            "--scale" => aa.scale = parse_scale(&value(&mut i, "--scale")?)?,
+            "--seed" => aa.seed = parsed(args, &mut i)?,
+            "--scale" => aa.scale = parsed(args, &mut i)?,
             "--json" => aa.json = true,
             other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
@@ -644,19 +523,11 @@ fn parse_analyze(args: &[String]) -> Result<Command, CliError> {
     let mut na = AnalyzeArgs::default();
     let mut all = false;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--workloads" => {
-                na.workloads = parse_list(&value(&mut i, "--workloads")?, |s| Ok(s.to_string()))?;
-            }
+            "--workloads" => na.workloads = names(&value(args, &mut i)?),
             "--all" => all = true,
-            "--scale" => na.scale = parse_scale(&value(&mut i, "--scale")?)?,
+            "--scale" => na.scale = parsed(args, &mut i)?,
             "--json" => na.json = true,
             name if !name.starts_with('-') => na.workloads.push(name.to_string()),
             other => return Err(CliError(format!("unknown flag `{other}`"))),
@@ -672,112 +543,45 @@ fn parse_analyze(args: &[String]) -> Result<Command, CliError> {
 fn parse_trace(args: &[String]) -> Result<Command, CliError> {
     let mut ta = TraceArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => ta.run.workload = Some(value(&mut i, "--workload")?),
-            "--htm" => ta.run.htm = parse_htm(&value(&mut i, "--htm")?)?,
-            "--hints" => ta.run.hints = parse_hints(&value(&mut i, "--hints")?)?,
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                ta.run.seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --seed `{v}`")))?;
+        if !cell_flag(args, &mut i, &mut ta.run.cell)? {
+            match args[i].as_str() {
+                "--events" => ta.events = parsed(args, &mut i)?,
+                "--out" => ta.out = Some(value(args, &mut i)?),
+                name if !name.starts_with('-') && ta.run.cell.workload.is_empty() => {
+                    ta.run.cell.workload = name.to_string();
+                }
+                other => return Err(CliError(format!("unknown flag `{other}`"))),
             }
-            "--scale" => ta.run.scale = parse_scale(&value(&mut i, "--scale")?)?,
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                ta.run.threads = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --threads `{v}`")))?,
-                );
-            }
-            "--sim-threads" => {
-                let v = value(&mut i, "--sim-threads")?;
-                ta.run.sim_threads = parse_sim_threads(&v)?;
-            }
-            "--smt2" => ta.run.smt2 = true,
-            "--preserve" => ta.run.preserve = true,
-            "--alloc-color" => {
-                ta.run.alloc_color = parse_alloc_color(&value(&mut i, "--alloc-color")?)?;
-            }
-            "--events" => {
-                let v = value(&mut i, "--events")?;
-                ta.events = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --events `{v}`")))?;
-            }
-            "--out" => ta.out = Some(value(&mut i, "--out")?),
-            name if !name.starts_with('-') && ta.run.workload.is_none() => {
-                ta.run.workload = Some(name.to_string());
-            }
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
         i += 1;
     }
-    if ta.run.workload.is_none() {
+    if ta.run.cell.workload.is_empty() {
         return Err(CliError("`trace` requires a workload name".into()));
     }
+    ta.run.cell.check().map_err(CliError)?;
     Ok(Command::Trace(ta))
 }
 
 fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
     let mut sa = SweepArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--workloads" => {
-                sa.workloads = parse_list(&value(&mut i, "--workloads")?, |s| Ok(s.to_string()))?;
-            }
-            flag @ ("--htm" | "--models") => {
-                sa.htms = parse_list(&value(&mut i, flag)?, parse_htm)?;
-            }
-            "--hints" => sa.hints = parse_list(&value(&mut i, "--hints")?, parse_hints)?,
-            "--seeds" => {
-                sa.seeds = parse_list(&value(&mut i, "--seeds")?, |s| {
-                    s.parse().map_err(|_| CliError(format!("bad seed `{s}`")))
-                })?;
-            }
-            "--scale" => sa.scale = parse_scale(&value(&mut i, "--scale")?)?,
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                sa.threads = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --threads `{v}`")))?,
-                );
-            }
-            "--sim-threads" => {
-                let v = value(&mut i, "--sim-threads")?;
-                sa.sim_threads = parse_sim_threads(&v)?;
-            }
-            "--smt2" => sa.smt2 = true,
-            "--preserve" => sa.preserve = true,
-            flag @ ("--alloc-color" | "--alloc-colors") => {
-                sa.alloc_colors = parse_list(&value(&mut i, flag)?, parse_alloc_color)?;
-            }
+        let flag = args[i].clone();
+        if let Some((axis, values)) = axis_flag(args, &mut i, true)? {
+            sa.spec
+                .set(axis, &values)
+                .map_err(|e| CliError(format!("bad {flag}: {e}")))?;
+            i += 1;
+            continue;
+        }
+        match flag.as_str() {
             "--smoke" => sa.smoke = true,
-            "--jobs" => {
-                let v = value(&mut i, "--jobs")?;
-                sa.jobs = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --jobs `{v}`")))?,
-                );
-            }
+            "--jobs" => sa.jobs = Some(parsed(args, &mut i)?),
             "--no-cache" => sa.no_cache = true,
             "--resume" => sa.resume = true,
-            "--cache-dir" => sa.cache_dir = Some(value(&mut i, "--cache-dir")?),
-            "--out" => sa.out = Some(value(&mut i, "--out")?),
+            "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?),
+            "--out" => sa.out = Some(value(args, &mut i)?),
             "--csv" => sa.csv = true,
             "--audit" => sa.audit = true,
             "--analyze" => sa.analyze = true,
@@ -789,47 +593,30 @@ fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
     if sa.no_cache && sa.resume {
         return Err(CliError("--resume needs the cache; drop --no-cache".into()));
     }
+    sa.spec
+        .cells()
+        .iter()
+        .try_for_each(Cell::check)
+        .map_err(CliError)?;
     Ok(Command::Sweep(sa))
 }
 
 fn parse_perf(args: &[String]) -> Result<Command, CliError> {
     let mut pa = PerfArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => pa.smoke = true,
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                pa.threads = parse_sim_threads(&v)?;
-            }
-            "--repeat" => {
-                let v = value(&mut i, "--repeat")?;
-                pa.repeat = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --repeat `{v}`")))?;
-            }
-            "--warmup" => {
-                let v = value(&mut i, "--warmup")?;
-                pa.warmup = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --warmup `{v}`")))?;
-            }
-            "--out" => pa.out = Some(value(&mut i, "--out")?),
-            "--baseline" => pa.baseline = Some(value(&mut i, "--baseline")?),
+            "--threads" => pa.threads = parsed(args, &mut i)?,
+            "--repeat" => pa.repeat = parsed(args, &mut i)?,
+            "--warmup" => pa.warmup = parsed(args, &mut i)?,
+            "--out" => pa.out = Some(value(args, &mut i)?),
+            "--baseline" => pa.baseline = Some(value(args, &mut i)?),
             "--threshold" => {
-                let v = value(&mut i, "--threshold")?;
-                let t: f64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --threshold `{v}`")))?;
+                let t: f64 = parsed(args, &mut i)?;
                 if !(0.0..1.0).contains(&t) {
                     return Err(CliError(format!(
-                        "--threshold must be a fraction in [0, 1), got `{v}`"
+                        "--threshold must be a fraction in [0, 1), got `{t}`"
                     )));
                 }
                 pa.threshold = Some(t);
@@ -839,8 +626,8 @@ fn parse_perf(args: &[String]) -> Result<Command, CliError> {
         }
         i += 1;
     }
-    if pa.repeat == 0 {
-        return Err(CliError("--repeat must be at least 1".into()));
+    if pa.repeat == 0 || pa.threads == 0 {
+        return Err(CliError("--repeat and --threads must be at least 1".into()));
     }
     Ok(Command::Perf(pa))
 }
@@ -852,14 +639,7 @@ fn parse_cache(args: &[String]) -> Result<Command, CliError> {
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--cache-dir" => {
-                        i += 1;
-                        dir = Some(
-                            args.get(i)
-                                .cloned()
-                                .ok_or_else(|| CliError("--cache-dir requires a value".into()))?,
-                        );
-                    }
+                    "--cache-dir" => dir = Some(value(args, &mut i)?),
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
@@ -882,24 +662,12 @@ fn parse_cache(args: &[String]) -> Result<Command, CliError> {
 fn parse_serve(args: &[String]) -> Result<Command, CliError> {
     let mut sa = ServeArgs::default();
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => sa.addr = value(&mut i, "--addr")?,
-            "--workers" => {
-                let v = value(&mut i, "--workers")?;
-                sa.workers = Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --workers `{v}`")))?,
-                );
-            }
-            "--cache-dir" => sa.cache_dir = Some(value(&mut i, "--cache-dir")?),
-            "--join" => sa.join = Some(value(&mut i, "--join")?),
+            "--addr" => sa.addr = value(args, &mut i)?,
+            "--workers" => sa.workers = Some(parsed(args, &mut i)?),
+            "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?),
+            "--join" => sa.join = Some(value(args, &mut i)?),
             other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
         i += 1;
@@ -912,29 +680,13 @@ fn parse_serve(args: &[String]) -> Result<Command, CliError> {
     Ok(Command::Serve(sa))
 }
 
-fn experiment(name: &str, ra: &RunArgs) -> Experiment {
-    let mut e = Experiment::new(name)
-        .htm(ra.htm)
-        .hint_mode(ra.hints)
-        .seed(ra.seed)
-        .scale(ra.scale)
-        .smt2(ra.smt2)
-        .preserve(ra.preserve)
-        .sim_threads(ra.sim_threads)
-        .alloc(AllocConfig {
-            color_stride: ra.alloc_color,
-            ..AllocConfig::default()
-        });
-    if let Some(t) = ra.threads {
-        e = e.threads(t);
-    }
-    e
-}
-
+/// Runs `ra`'s configuration on workload `name`.
 fn run_one(name: &str, ra: &RunArgs) -> Result<RunReport, CliError> {
-    experiment(name, ra)
-        .run()
-        .map_err(|e| CliError(e.to_string()))
+    let cell = Cell {
+        workload: name.to_string(),
+        ..ra.cell.clone()
+    };
+    cell.run().map_err(|e| CliError(e.to_string()))
 }
 
 /// CSV header matching [`csv_row`].
@@ -1098,13 +850,13 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<(), CliEr
             Ok(())
         }
         Command::Run(ra) => {
-            let name = ra.workload.as_deref().expect("validated by parse");
             if ra.trace {
-                let (r, trace) = experiment(name, ra)
+                let (r, trace) = ra
+                    .cell
                     .run_traced(100_000)
                     .map_err(|e| CliError(e.to_string()))?;
                 writeln!(out, "{r}").map_err(io)?;
-                let threads = if ra.smt2 { 16 } else { 8 };
+                let threads = if ra.cell.smt2 { 16 } else { 8 };
                 writeln!(
                     out,
                     "
@@ -1114,18 +866,20 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
                 writeln!(out, "{}", trace.render_timeline(threads, 100)).map_err(io)?;
                 return Ok(());
             }
-            let r = run_one(name, ra)?;
+            let r = run_one(&ra.cell.workload, ra)?;
             if ra.csv {
                 writeln!(out, "{CSV_HEADER}").map_err(io)?;
-                writeln!(out, "{}", csv_row(&r, ra.seed)).map_err(io)?;
+                writeln!(out, "{}", csv_row(&r, ra.cell.seed)).map_err(io)?;
             } else {
                 writeln!(out, "{r}").map_err(io)?;
             }
             Ok(())
         }
         Command::Trace(ta) => {
-            let name = ta.run.workload.as_deref().expect("validated by parse");
-            let (r, rec) = experiment(name, &ta.run)
+            let name = &ta.run.cell.workload;
+            let (r, rec) = ta
+                .run
+                .cell
                 .run_traced(ta.events)
                 .map_err(|e| CliError(e.to_string()))?;
             writeln!(out, "{r}").map_err(io)?;
@@ -1145,7 +899,7 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
                 t.retries.mean()
             )
             .map_err(io)?;
-            let threads = if ta.run.smt2 { 16 } else { 8 };
+            let threads = if ta.run.cell.smt2 { 16 } else { 8 };
             writeln!(
                 out,
                 "\ntimeline (C commit, a/A/P aborts, F fallback, s shootdown):"
@@ -1236,7 +990,7 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
             for name in WORKLOAD_NAMES {
                 let r = run_one(name, ra)?;
                 if ra.csv {
-                    writeln!(out, "{}", csv_row(&r, ra.seed)).map_err(io)?;
+                    writeln!(out, "{}", csv_row(&r, ra.cell.seed)).map_err(io)?;
                 } else {
                     writeln!(out, "{r}").map_err(io)?;
                 }
@@ -1249,6 +1003,7 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HintMode, HtmKind};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1271,45 +1026,21 @@ mod tests {
         let Command::Run(ra) = cmd else {
             panic!("expected run")
         };
-        assert_eq!(ra.workload.as_deref(), Some("vacation"));
-        assert_eq!(ra.htm, HtmKind::L1Tm);
-        assert_eq!(ra.hints, HintMode::Full);
-        assert_eq!(ra.seed, 7);
-        assert_eq!(ra.scale, Scale::Large);
-        assert_eq!(ra.threads, Some(16));
-        assert!(ra.smt2 && ra.preserve && ra.csv);
+        let expected = Cell::new("vacation")
+            .htm(HtmKind::L1Tm)
+            .hint(HintMode::Full)
+            .seed(7)
+            .scale(Scale::Large)
+            .threads(16)
+            .smt2(true)
+            .preserve(true);
+        assert_eq!(ra.cell, expected);
+        assert!(ra.csv && !ra.trace);
     }
 
     #[test]
     fn run_requires_workload() {
         assert!(parse(&argv("run --htm p8")).is_err());
-    }
-
-    #[test]
-    fn parses_sim_threads_everywhere() {
-        let Command::Run(ra) = parse(&argv("run --workload kmeans --sim-threads 4")).unwrap()
-        else {
-            panic!("expected run")
-        };
-        assert_eq!(ra.sim_threads, 4);
-        let Command::Trace(ta) = parse(&argv("trace kmeans --sim-threads 2")).unwrap() else {
-            panic!("expected trace")
-        };
-        assert_eq!(ta.run.sim_threads, 2);
-        let Command::Sweep(sa) = parse(&argv("sweep --sim-threads 8")).unwrap() else {
-            panic!("expected sweep")
-        };
-        assert_eq!(sa.sim_threads, 8);
-        let Command::Perf(pa) = parse(&argv("perf --threads 2")).unwrap() else {
-            panic!("expected perf")
-        };
-        assert_eq!(pa.threads, 2);
-        // Defaults are serial; zero and garbage are rejected.
-        assert_eq!(RunArgs::default().sim_threads, 1);
-        assert_eq!(PerfArgs::default().threads, 1);
-        assert!(parse(&argv("run --workload kmeans --sim-threads 0")).is_err());
-        assert!(parse(&argv("sweep --sim-threads nope")).is_err());
-        assert!(parse(&argv("perf --threads 0")).is_err());
     }
 
     #[test]
@@ -1324,41 +1055,78 @@ mod tests {
         assert!(parse(&argv("trace kmeans --exec compiled")).is_err());
     }
 
+    fn run_cell(args: &str) -> Cell {
+        match parse(&argv(&format!("run --workload kmeans {args}"))) {
+            Ok(Command::Run(ra)) => ra.cell,
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
     #[test]
     fn hint_aliases() {
-        assert_eq!(parse_hints("st").unwrap(), HintMode::Static);
-        assert_eq!(parse_hints("dyn").unwrap(), HintMode::Dynamic);
+        assert_eq!(run_cell("--hints st").hint, HintMode::Static);
+        assert_eq!(run_cell("--hints dyn").hint, HintMode::Dynamic);
+        // Report names are accepted too.
+        assert_eq!(run_cell("--hints HinTM").hint, HintMode::Full);
+        assert_eq!(run_cell("--hints baseline").hint, HintMode::Off);
     }
 
     #[test]
     fn parses_capacity_model_names() {
-        assert_eq!(parse_htm("lrws").unwrap(), HtmKind::Lrws);
-        assert_eq!(parse_htm("PStretch").unwrap(), HtmKind::PStretch);
-        let Command::Run(ra) = parse(&argv("run --workload kmeans --htm pstretch")).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(ra.htm, HtmKind::PStretch);
+        assert_eq!(run_cell("--htm lrws").htm, HtmKind::Lrws);
+        assert_eq!(run_cell("--htm PStretch").htm, HtmKind::PStretch);
+        assert_eq!(run_cell("--htm pstretch").htm, HtmKind::PStretch);
     }
 
     #[test]
-    fn parses_alloc_color_everywhere() {
-        let Command::Run(ra) = parse(&argv("run --workload kmeans --alloc-color 64")).unwrap()
-        else {
-            panic!("expected run")
-        };
-        assert_eq!(ra.alloc_color, 64);
-        let Command::Trace(ta) = parse(&argv("trace kmeans --alloc-color 128")).unwrap() else {
-            panic!("expected trace")
-        };
-        assert_eq!(ta.run.alloc_color, 128);
-        let Command::Sweep(sa) = parse(&argv("sweep --alloc-colors 0,64,128")).unwrap() else {
-            panic!("expected sweep")
-        };
-        assert_eq!(sa.alloc_colors, vec![0, 64, 128]);
-        // Defaults keep the packed layout; garbage is rejected.
-        assert_eq!(RunArgs::default().alloc_color, 0);
-        assert!(SweepArgs::default().alloc_colors.is_empty());
-        assert!(parse(&argv("run --workload kmeans --alloc-color nope")).is_err());
+    fn rejects_thread_overrides_the_machine_lacks() {
+        // These used to parse and then panic inside the engine or the
+        // address space.
+        for args in [
+            "run --workload kmeans --threads 9",
+            "run --workload kmeans --threads 0",
+            "run --workload kmeans --threads 17 --smt2",
+            "suite --threads 9",
+            "trace kmeans --threads 9",
+            "sweep --workloads kmeans --threads 9",
+            "sweep --threads 0",
+        ] {
+            assert!(parse(&argv(args)).is_err(), "accepted `{args}`");
+        }
+        assert_eq!(run_cell("--threads 8").threads, Some(8));
+        // SMT doubles the hardware threads, in either flag order.
+        assert_eq!(run_cell("--threads 16 --smt2").threads, Some(16));
+        assert_eq!(run_cell("--smt2 --threads 16").threads, Some(16));
+    }
+
+    #[test]
+    fn rejects_color_strides_beyond_the_heap_arena() {
+        let arena = hintm_mem::HEAP_ARENA_SIZE;
+        assert_eq!(
+            run_cell(&format!("--alloc-color {arena}")).alloc_color,
+            arena
+        );
+        for args in [
+            format!("run --workload kmeans --alloc-color {}", arena + 1),
+            "run --workload kmeans --alloc-color 18446744073709551615".into(),
+            "run --workload kmeans --alloc-color 18446744073709551616".into(),
+            format!("sweep --alloc-colors 0,{}", arena + 1),
+        ] {
+            assert!(parse(&argv(&args)).is_err(), "accepted `{args}`");
+        }
+    }
+
+    #[test]
+    fn every_axis_flag_is_documented() {
+        for axis in &AXES {
+            if let Some(flag) = axis.flag {
+                assert!(USAGE.contains(flag), "USAGE lacks {flag}");
+            }
+            if let (Some(_), Some(list)) = (axis.flag, axis.list) {
+                let flag = format!("--{}", list.replace('_', "-"));
+                assert!(USAGE.contains(&flag), "USAGE lacks {flag}");
+            }
+        }
     }
 
     #[test]
@@ -1367,12 +1135,13 @@ mod tests {
         else {
             panic!("expected sweep")
         };
-        assert_eq!(sa.htms, vec![HtmKind::Lrws, HtmKind::PStretch]);
+        let models = SweepSpec::new().htms([HtmKind::Lrws, HtmKind::PStretch]);
+        assert_eq!(sa.spec.cells(), models.cells());
         assert!(sa.smoke);
         let Command::Sweep(sa) = parse(&argv("sweep --htm p8")).unwrap() else {
             panic!("expected sweep")
         };
-        assert_eq!(sa.htms, vec![HtmKind::P8]);
+        assert_eq!(sa.spec.cells(), SweepSpec::new().htm(HtmKind::P8).cells());
         assert!(!sa.smoke);
     }
 
@@ -1528,9 +1297,10 @@ mod tests {
         .unwrap() else {
             panic!("expected trace")
         };
-        assert_eq!(ta.run.workload.as_deref(), Some("vacation"));
-        assert_eq!(ta.run.htm, HtmKind::L1Tm);
-        assert_eq!(ta.run.seed, 7);
+        assert_eq!(
+            ta.run.cell,
+            Cell::new("vacation").htm(HtmKind::L1Tm).seed(7)
+        );
         assert_eq!(ta.events, 512);
         assert_eq!(ta.out.as_deref(), Some("/tmp/t"));
 
@@ -1538,7 +1308,7 @@ mod tests {
         let Command::Trace(ta) = parse(&argv("trace --workload kmeans")).unwrap() else {
             panic!("expected trace")
         };
-        assert_eq!(ta.run.workload.as_deref(), Some("kmeans"));
+        assert_eq!(ta.run.cell.workload, "kmeans");
         assert_eq!(ta.events, 100_000);
         assert_eq!(ta.out, None);
 
@@ -1572,22 +1342,30 @@ mod tests {
     fn parses_full_sweep_command() {
         let cmd = parse(&argv(
             "sweep --workloads vacation,labyrinth --htm p8,infcap --hints off,full \
-             --seeds 1,2,3 --scale large --threads 16 --smt2 --preserve --jobs 8 \
-             --cache-dir /tmp/c --out /tmp/o --csv --audit --analyze --trace",
+             --seeds 1,2,3 --alloc-colors 0,64,128 --scale large --threads 16 --smt2 \
+             --preserve --sim-threads 2 --jobs 8 --cache-dir /tmp/c --out /tmp/o --csv \
+             --audit --analyze --trace",
         ))
         .unwrap();
         let Command::Sweep(sa) = cmd else {
             panic!("expected sweep")
         };
         assert!(sa.trace && sa.analyze);
-        assert_eq!(sa.workloads, vec!["vacation", "labyrinth"]);
-        assert_eq!(sa.htms, vec![HtmKind::P8, HtmKind::InfCap]);
-        assert_eq!(sa.hints, vec![HintMode::Off, HintMode::Full]);
-        assert_eq!(sa.seeds, vec![1, 2, 3]);
-        assert_eq!(sa.scale, Scale::Large);
-        assert_eq!(sa.threads, Some(16));
+        let expected = SweepSpec::new()
+            .workloads(["vacation", "labyrinth"])
+            .htms([HtmKind::P8, HtmKind::InfCap])
+            .hints([HintMode::Off, HintMode::Full])
+            .seeds([1, 2, 3])
+            .alloc_colors([0, 64, 128])
+            .scale(Scale::Large)
+            .threads(16)
+            .smt2(true)
+            .preserve(true)
+            .sim_threads(2);
+        assert_eq!(sa.spec.cells(), expected.cells());
+        assert_eq!(sa.spec.cells().len(), 2 * 2 * 2 * 3 * 3);
         assert_eq!(sa.jobs, Some(8));
-        assert!(sa.smt2 && sa.preserve && sa.csv && sa.audit);
+        assert!(sa.csv && sa.audit);
         assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
         assert_eq!(sa.out.as_deref(), Some("/tmp/o"));
         assert!(!sa.no_cache && !sa.resume);
@@ -1605,6 +1383,8 @@ mod tests {
     fn sweep_rejects_bad_input() {
         assert!(parse(&argv("sweep --htm p8,weird")).is_err());
         assert!(parse(&argv("sweep --seeds 1,x")).is_err());
+        assert!(parse(&argv("sweep --sim-threads nope")).is_err());
+        assert!(parse(&argv("sweep --sim-threads 0")).is_err());
         assert!(parse(&argv("sweep --jobs nope")).is_err());
         assert!(parse(&argv("sweep --frobnicate")).is_err());
         assert!(parse(&argv("sweep --no-cache --resume")).is_err());
@@ -1630,11 +1410,17 @@ mod tests {
         assert_eq!(pa.out.as_deref(), Some("bench"));
         assert_eq!(pa.baseline.as_deref(), Some("BENCH_x.json"));
         assert_eq!(pa.threshold, Some(0.1));
+        let Command::Perf(pa) = parse(&argv("perf --threads 2")).unwrap() else {
+            panic!("expected perf")
+        };
+        assert_eq!(pa.threads, 2);
+        assert_eq!(PerfArgs::default().threads, 1, "perf defaults to serial");
     }
 
     #[test]
     fn perf_rejects_bad_input() {
         assert!(parse(&argv("perf --repeat 0")).is_err());
+        assert!(parse(&argv("perf --threads 0")).is_err());
         assert!(parse(&argv("perf --repeat nope")).is_err());
         assert!(parse(&argv("perf --threshold 1.5")).is_err());
         assert!(parse(&argv("perf --threshold -0.1")).is_err());
@@ -1707,7 +1493,8 @@ mod tests {
     #[test]
     fn scale_round_trips_through_names() {
         for s in [Scale::Sim, Scale::Large] {
-            assert_eq!(parse_scale(scale_str(s)).unwrap(), s);
+            assert_eq!(scale_str(s).parse::<Scale>(), Ok(s));
+            assert_eq!(run_cell(&format!("--scale {}", scale_str(s))).scale, s);
         }
     }
 

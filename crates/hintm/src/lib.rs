@@ -37,8 +37,11 @@
 //! # Ok::<(), hintm::UnknownWorkload>(())
 //! ```
 
+pub mod cell;
 pub mod cli;
 pub mod json;
+
+pub use cell::{cell_from_json, cell_to_json, Axis, Cell, SweepSpec, AXES};
 
 pub use hintm_htm::{HtmConfig, HtmKind};
 pub use hintm_sim::{
@@ -70,21 +73,12 @@ impl std::error::Error for UnknownWorkload {}
 
 /// A configured experiment: one workload under one HTM/hint configuration.
 ///
-/// Builder-style; see the crate-level example.
+/// Builder-style; see the crate-level example. The run configuration is a
+/// [`Cell`]; an experiment adds the two HTM model-parameter overrides that
+/// sweeps never vary.
 #[derive(Clone, Debug)]
 pub struct Experiment {
-    workload: String,
-    htm: HtmKind,
-    hint_mode: HintMode,
-    preserve: bool,
-    scale: Scale,
-    threads: Option<usize>,
-    sim_threads: usize,
-    smt2: bool,
-    seed: u64,
-    record_tx_sizes: bool,
-    profile_sharing: bool,
-    alloc: AllocConfig,
+    cell: Cell,
     lrws_limits: Option<(usize, usize)>,
     max_stretches: Option<u32>,
 }
@@ -93,51 +87,36 @@ impl Experiment {
     /// Creates an experiment for `workload` with the paper's defaults:
     /// P8 HTM, no hints, `Scale::Sim`, seed 42.
     pub fn new(workload: &str) -> Self {
-        Experiment {
-            workload: workload.to_string(),
-            htm: HtmKind::P8,
-            hint_mode: HintMode::Off,
-            preserve: false,
-            scale: Scale::Sim,
-            threads: None,
-            sim_threads: 1,
-            smt2: false,
-            seed: 42,
-            record_tx_sizes: false,
-            profile_sharing: false,
-            alloc: AllocConfig::default(),
-            lrws_limits: None,
-            max_stretches: None,
-        }
+        Cell::new(workload).experiment()
     }
 
     /// Selects the HTM configuration.
     pub fn htm(mut self, kind: HtmKind) -> Self {
-        self.htm = kind;
+        self.cell.htm = kind;
         self
     }
 
     /// Selects which HinTM mechanisms are active.
     pub fn hint_mode(mut self, mode: HintMode) -> Self {
-        self.hint_mode = mode;
+        self.cell.hint = mode;
         self
     }
 
     /// Enables the §VI-B preserve optimization.
     pub fn preserve(mut self, on: bool) -> Self {
-        self.preserve = on;
+        self.cell.preserve = on;
         self
     }
 
     /// Selects the input scale.
     pub fn scale(mut self, scale: Scale) -> Self {
-        self.scale = scale;
+        self.cell.scale = scale;
         self
     }
 
     /// Overrides the workload's thread count.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.cell.threads = Some(threads);
         self
     }
 
@@ -146,7 +125,7 @@ impl Experiment {
     /// value; this only trades host parallelism for throughput. Clamped
     /// to at least 1.
     pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
+        self.cell = self.cell.sim_threads(n);
         self
     }
 
@@ -154,8 +133,18 @@ impl Experiment {
     /// simulated allocator uses — the malloc-placement sensitivity axis.
     /// Unlike `sim_threads`, placement changes the address stream
     /// and therefore the results.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.align` is the default 16: the color stride is
+    /// the placement axis runs carry.
     pub fn alloc(mut self, cfg: AllocConfig) -> Self {
-        self.alloc = cfg;
+        assert_eq!(
+            cfg.align,
+            AllocConfig::default().align,
+            "only the color stride of the placement policy is configurable"
+        );
+        self.cell.alloc_color = cfg.color_stride;
         self
     }
 
@@ -176,38 +165,39 @@ impl Experiment {
 
     /// Enables 2-way SMT (16 hardware threads on 8 cores, §VI-D2).
     pub fn smt2(mut self, on: bool) -> Self {
-        self.smt2 = on;
+        self.cell.smt2 = on;
         self
     }
 
     /// Sets the run seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cell.seed = seed;
         self
     }
 
     /// Records per-committed-transaction footprints (Fig. 6 CDFs).
     pub fn record_tx_sizes(mut self, on: bool) -> Self {
-        self.record_tx_sizes = on;
+        self.cell.record_tx_sizes = on;
         self
     }
 
     /// Feeds every access to the sharing profiler (Fig. 1 metrics).
     pub fn profile_sharing(mut self, on: bool) -> Self {
-        self.profile_sharing = on;
+        self.cell.profile_sharing = on;
         self
     }
 
     /// Builds the [`SimConfig`] this experiment will run with.
     pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::with_htm(self.htm).hint_mode(self.hint_mode);
-        if self.smt2 {
+        let c = &self.cell;
+        let mut cfg = SimConfig::with_htm(c.htm).hint_mode(c.hint);
+        if c.smt2 {
             cfg = cfg.smt2();
         }
-        cfg.preserve = self.preserve;
-        cfg.record_tx_sizes = self.record_tx_sizes;
-        cfg.profile_sharing = self.profile_sharing;
-        cfg.sim_threads = self.sim_threads;
+        cfg.preserve = c.preserve;
+        cfg.record_tx_sizes = c.record_tx_sizes;
+        cfg.profile_sharing = c.profile_sharing;
+        cfg.sim_threads = c.sim_threads;
         if let Some((read, write)) = self.lrws_limits {
             cfg.htm.lrws_read_limit = read;
             cfg.htm.lrws_write_limit = write;
@@ -226,7 +216,7 @@ impl Experiment {
     pub fn run(&self) -> Result<RunReport, UnknownWorkload> {
         let mut w = self.workload()?;
         let sim = Simulator::new(self.sim_config());
-        let stats = sim.run(w.as_mut(), self.seed);
+        let stats = sim.run(w.as_mut(), self.cell.seed);
         Ok(self.report(stats))
     }
 
@@ -243,7 +233,7 @@ impl Experiment {
         let mut w = self.workload()?;
         let sim = Simulator::new(self.sim_config());
         let mut rec = Recording::new(trace_cap);
-        let stats = sim.run_with_sink(w.as_mut(), self.seed, &mut rec);
+        let stats = sim.run_with_sink(w.as_mut(), self.cell.seed, &mut rec);
         let mut report = self.report(stats);
         report.trace = Some(rec.summary());
         Ok((report, rec))
@@ -257,7 +247,7 @@ impl Experiment {
     pub fn run_with_sink(&self, sink: &mut dyn TraceSink) -> Result<RunReport, UnknownWorkload> {
         let mut w = self.workload()?;
         let sim = Simulator::new(self.sim_config());
-        let stats = sim.run_with_sink(w.as_mut(), self.seed, sink);
+        let stats = sim.run_with_sink(w.as_mut(), self.cell.seed, sink);
         Ok(self.report(stats))
     }
 
@@ -271,27 +261,31 @@ impl Experiment {
             .iter()
             .map(|&seed| {
                 let mut e = self.clone();
-                e.seed = seed;
+                e.cell.seed = seed;
                 e.run()
             })
             .collect()
     }
 
     fn workload(&self) -> Result<Box<dyn Workload>, UnknownWorkload> {
-        let mut w = match self.threads {
-            Some(t) => by_name_with_threads(&self.workload, self.scale, t),
-            None => by_name(&self.workload, self.scale),
+        let c = &self.cell;
+        let mut w = match c.threads {
+            Some(t) => by_name_with_threads(&c.workload, c.scale, t),
+            None => by_name(&c.workload, c.scale),
         }
-        .ok_or_else(|| UnknownWorkload(self.workload.clone()))?;
-        w.set_alloc_config(self.alloc);
+        .ok_or_else(|| UnknownWorkload(c.workload.clone()))?;
+        w.set_alloc_config(AllocConfig {
+            color_stride: c.alloc_color,
+            ..AllocConfig::default()
+        });
         Ok(w)
     }
 
     fn report(&self, stats: RunStats) -> RunReport {
         RunReport {
-            workload: self.workload.clone(),
-            htm: self.htm,
-            hint_mode: self.hint_mode,
+            workload: self.cell.workload.clone(),
+            htm: self.cell.htm,
+            hint_mode: self.cell.hint,
             stats,
             trace: None,
         }

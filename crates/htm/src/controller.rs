@@ -49,6 +49,27 @@ impl fmt::Display for HtmKind {
     }
 }
 
+impl std::str::FromStr for HtmKind {
+    type Err = String;
+
+    /// Parses a model name case-insensitively, so both the CLI spelling
+    /// (`p8`, `l1tm`) and the [`Display`](fmt::Display) name (`P8`,
+    /// `L1TM`) are accepted.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "p8" => Ok(HtmKind::P8),
+            "p8s" => Ok(HtmKind::P8S),
+            "l1tm" => Ok(HtmKind::L1Tm),
+            "infcap" => Ok(HtmKind::InfCap),
+            "rot" => Ok(HtmKind::Rot),
+            "logtm" => Ok(HtmKind::LogTm),
+            "lrws" => Ok(HtmKind::Lrws),
+            "pstretch" => Ok(HtmKind::PStretch),
+            _ => Err(format!("unknown HTM model `{s}`")),
+        }
+    }
+}
+
 /// HTM hardware parameters.
 #[derive(Clone, Debug)]
 pub struct HtmConfig {
@@ -403,6 +424,17 @@ mod tests {
 
     fn p8_thread() -> HtmThread {
         HtmThread::new(&HtmConfig::new(HtmKind::P8))
+    }
+
+    #[test]
+    fn kind_names_parse_back() {
+        use HtmKind::*;
+        for kind in [P8, P8S, L1Tm, InfCap, Rot, LogTm, Lrws, PStretch] {
+            let name = kind.to_string();
+            assert_eq!(name.parse::<HtmKind>(), Ok(kind));
+            assert_eq!(name.to_ascii_lowercase().parse::<HtmKind>(), Ok(kind));
+        }
+        assert!("p9".parse::<HtmKind>().is_err());
     }
 
     #[test]

@@ -15,39 +15,11 @@
 use crate::cache::SCHEMA_VERSION;
 use crate::{Cell, CellOutcome, SweepResult};
 use hintm::cli::{csv_row, CSV_HEADER};
-use hintm::{chrome_trace, write_binlog, Json, TraceEvent};
+use hintm::{cell_to_json, chrome_trace, write_binlog, Json, TraceEvent};
 use hintm_trace::Fnv64;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-fn scale_str(s: hintm::Scale) -> &'static str {
-    match s {
-        hintm::Scale::Sim => "sim",
-        hintm::Scale::Large => "large",
-    }
-}
-
-/// A cell's configuration as a JSON object (for the manifest/results).
-pub fn cell_to_json(cell: &Cell) -> Json {
-    Json::Obj(vec![
-        ("workload".into(), Json::Str(cell.workload.clone())),
-        ("htm".into(), Json::Str(cell.htm.to_string())),
-        ("hints".into(), Json::Str(cell.hint.to_string())),
-        ("scale".into(), Json::Str(scale_str(cell.scale).into())),
-        ("seed".into(), Json::u64(cell.seed)),
-        (
-            "threads".into(),
-            cell.threads.map_or(Json::Null, |t| Json::u64(t as u64)),
-        ),
-        ("sim_threads".into(), Json::u64(cell.sim_threads as u64)),
-        ("smt2".into(), Json::Bool(cell.smt2)),
-        ("preserve".into(), Json::Bool(cell.preserve)),
-        ("alloc_color".into(), Json::u64(cell.alloc_color)),
-        ("record_tx_sizes".into(), Json::Bool(cell.record_tx_sizes)),
-        ("profile_sharing".into(), Json::Bool(cell.profile_sharing)),
-    ])
-}
 
 fn manifest(name: &str, result: &SweepResult) -> Json {
     let cells = result

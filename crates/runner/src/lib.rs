@@ -6,7 +6,8 @@
 //! factors the walking out (std-only, no new dependencies):
 //!
 //! * [`SweepSpec`] / [`Cell`] — enumerate a sweep's cells (cross product,
-//!   stable order, deduplicated);
+//!   stable order, deduplicated); both live in the `hintm` crate beside
+//!   the axis table and are re-exported here;
 //! * [`Runner`] — a sharded executor on `std::thread` + channels with a
 //!   configurable job count, per-cell `catch_unwind` panic isolation and
 //!   wall-time accounting;
@@ -44,9 +45,8 @@ mod artifacts;
 mod cache;
 mod exec;
 pub mod perf;
-mod spec;
 
-pub use artifacts::{cell_to_json, results_csv, results_json, write_artifacts, write_trace};
+pub use artifacts::{results_csv, results_json, write_artifacts, write_trace};
 pub use cache::{Cache, CacheStats, WorkloadCacheStats, SCHEMA_VERSION};
 pub use exec::{CellOutcome, CellResult, Runner, SweepResult};
-pub use spec::{Cell, SweepSpec};
+pub use hintm::{cell_to_json, Cell, SweepSpec};

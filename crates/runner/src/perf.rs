@@ -42,7 +42,7 @@
 //! notice, and a mismatched explicit `--baseline` is an error.
 
 use hintm::cli::PerfArgs;
-use hintm::{Experiment, HtmKind, Json, Scale};
+use hintm::{Cell, HtmKind, Json, SweepSpec};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -60,63 +60,35 @@ pub const DEFAULT_THRESHOLD: f64 = 0.25;
 /// Environment variable overriding the default threshold.
 pub const THRESHOLD_ENV: &str = "HINTM_PERF_THRESHOLD";
 
-/// One cell of the pinned grid.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfCell {
-    /// Registered workload name.
-    pub workload: &'static str,
-    /// HTM capacity model.
-    pub htm: HtmKind,
-}
-
 /// The full pinned grid: five workloads spanning small/large footprints
 /// and five capacity models spanning cheap/expensive tracking (including
 /// the bounded read/write-set and capacity-stretching backends, whose
-/// spill paths cost differently from plain exact tracking).
-pub fn full_grid() -> Vec<PerfCell> {
-    const WORKLOADS: [&str; 5] = ["kmeans", "ssca2", "vacation", "genome", "tpcc-no"];
-    const HTMS: [HtmKind; 5] = [
-        HtmKind::P8,
-        HtmKind::P8S,
-        HtmKind::InfCap,
-        HtmKind::Lrws,
-        HtmKind::PStretch,
-    ];
-    WORKLOADS
-        .iter()
-        .flat_map(|w| {
-            HTMS.iter().map(|h| PerfCell {
-                workload: w,
-                htm: *h,
-            })
-        })
-        .collect()
+/// spill paths cost differently from plain exact tracking). Every cell is
+/// at the [`Cell::new`] defaults otherwise: seed 42, sim scale, hints off.
+pub fn full_grid() -> Vec<Cell> {
+    SweepSpec::new()
+        .workloads(["kmeans", "ssca2", "vacation", "genome", "tpcc-no"])
+        .htms([
+            HtmKind::P8,
+            HtmKind::P8S,
+            HtmKind::InfCap,
+            HtmKind::Lrws,
+            HtmKind::PStretch,
+        ])
+        .cells()
 }
 
 /// The 5-cell smoke grid for CI: one workload per capacity model.
-pub fn smoke_grid() -> Vec<PerfCell> {
-    vec![
-        PerfCell {
-            workload: "kmeans",
-            htm: HtmKind::P8,
-        },
-        PerfCell {
-            workload: "ssca2",
-            htm: HtmKind::InfCap,
-        },
-        PerfCell {
-            workload: "vacation",
-            htm: HtmKind::P8S,
-        },
-        PerfCell {
-            workload: "genome",
-            htm: HtmKind::Lrws,
-        },
-        PerfCell {
-            workload: "tpcc-no",
-            htm: HtmKind::PStretch,
-        },
+pub fn smoke_grid() -> Vec<Cell> {
+    [
+        ("kmeans", HtmKind::P8),
+        ("ssca2", HtmKind::InfCap),
+        ("vacation", HtmKind::P8S),
+        ("genome", HtmKind::Lrws),
+        ("tpcc-no", HtmKind::PStretch),
     ]
+    .map(|(w, htm)| Cell::new(w).htm(htm))
+    .to_vec()
 }
 
 /// One cell's measurement.
@@ -183,7 +155,7 @@ pub fn noise_rejected_median(runs_ns: &[u64]) -> u64 {
 /// Measures one cell: `warmup` untimed runs, `repeat` timed runs, with
 /// the engine at `threads` generation lanes; [`noise_rejected_median`]
 /// picks the representative wall time.
-/// The run configuration is pinned (seed 42, sim scale, hints off) so
+/// The grids pin the run configuration (seed 42, sim scale, hints off) so
 /// snapshots are comparable across machines only in ratio, but across
 /// commits on one machine in absolute terms. All raw repeats (including
 /// a dropped outlier) stay in `runs_ns` for forensics.
@@ -192,33 +164,27 @@ pub fn noise_rejected_median(runs_ns: &[u64]) -> u64 {
 ///
 /// Returns an error for unknown workloads (a grid typo).
 pub fn measure_cell(
-    cell: &PerfCell,
+    cell: &Cell,
     warmup: usize,
     repeat: usize,
     threads: usize,
 ) -> Result<CellMeasurement, String> {
-    let exp = || {
-        Experiment::new(cell.workload)
-            .htm(cell.htm)
-            .seed(42)
-            .scale(Scale::Sim)
-            .sim_threads(threads)
-    };
+    let exp = cell.clone().sim_threads(threads).experiment();
     let mut events = 0u64;
     for _ in 0..warmup {
-        let r = exp().run().map_err(|e| e.to_string())?;
+        let r = exp.run().map_err(|e| e.to_string())?;
         events = r.stats.cache.accesses;
     }
     let mut runs_ns = Vec::with_capacity(repeat);
     for _ in 0..repeat {
         let t0 = Instant::now();
-        let r = exp().run().map_err(|e| e.to_string())?;
+        let r = exp.run().map_err(|e| e.to_string())?;
         runs_ns.push(t0.elapsed().as_nanos() as u64);
         events = r.stats.cache.accesses;
     }
     let wall_ns = noise_rejected_median(&runs_ns).max(1);
     Ok(CellMeasurement {
-        workload: cell.workload.to_string(),
+        workload: cell.workload.clone(),
         htm: cell.htm.to_string(),
         events,
         wall_ns,
@@ -737,16 +703,7 @@ mod tests {
 
     #[test]
     fn smoke_measurement_produces_sane_numbers() {
-        let m = measure_cell(
-            &PerfCell {
-                workload: "kmeans",
-                htm: HtmKind::P8,
-            },
-            0,
-            1,
-            1,
-        )
-        .unwrap();
+        let m = measure_cell(&Cell::new("kmeans"), 0, 1, 1).unwrap();
         assert!(m.events > 0);
         assert!(m.wall_ns > 0);
         assert!(m.events_per_sec > 0.0);
@@ -757,10 +714,7 @@ mod tests {
     fn lane_counts_agree_on_events() {
         // The engine is bit-identical across sim_threads, so the event
         // count a measurement reports must not depend on the lane count.
-        let cell = PerfCell {
-            workload: "kmeans",
-            htm: HtmKind::P8,
-        };
+        let cell = Cell::new("kmeans");
         let serial = measure_cell(&cell, 0, 1, 1).unwrap();
         let laned = measure_cell(&cell, 0, 1, 4).unwrap();
         assert_eq!(serial.events, laned.events);

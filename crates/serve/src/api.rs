@@ -1,6 +1,8 @@
 //! JSON ↔ domain mapping for the HTTP API.
 //!
-//! The wire sweep spec mirrors `hintm sweep`'s flags field-for-field:
+//! The wire sweep spec mirrors `hintm sweep`'s flags: its keys are the
+//! flagged rows of the axis table ([`hintm::AXES`]), parsed by
+//! [`SweepSpec::from_json`]:
 //!
 //! ```json
 //! {
@@ -8,6 +10,7 @@
 //!   "htm": ["p8", "infcap"],
 //!   "hints": ["off", "full"],
 //!   "seeds": [1, 2],
+//!   "alloc_colors": [0, 64],
 //!   "scale": "sim",
 //!   "threads": 8,
 //!   "sim_threads": 1,
@@ -26,170 +29,28 @@
 //! the wrong grid. Cells on the claim/complete wire use the same JSON
 //! object shape as the sweep manifest ([`hintm_runner::cell_to_json`]).
 
-use hintm::cli::{parse_hints, parse_htm, parse_scale, scale_str};
-use hintm::{HintMode, Json, RunReport, WORKLOAD_NAMES};
+use hintm::{Json, RunReport, WORKLOAD_NAMES};
 use hintm_runner::{cell_to_json, Cell, CellOutcome, CellResult, SweepResult, SweepSpec};
 use std::time::Duration;
 
 use crate::queue::{CellStatus, JobSnapshot};
-
-/// Parses a hint-mode name: the CLI spellings (`off`, `static`, ...) plus
-/// the report `Display` names (`baseline`, `HinTM-st`, ...), so cells
-/// serialized from reports round-trip.
-fn hint_from_str(v: &str) -> Result<HintMode, String> {
-    parse_hints(v).or_else(|e| match v.to_ascii_lowercase().as_str() {
-        "baseline" => Ok(HintMode::Off),
-        "hintm-st" => Ok(HintMode::Static),
-        "hintm-dyn" => Ok(HintMode::Dynamic),
-        "hintm" => Ok(HintMode::Full),
-        _ => Err(e.to_string()),
-    })
-}
-
-fn str_items(j: &Json, field: &str) -> Result<Vec<String>, String> {
-    j.as_arr()
-        .map_err(|_| format!("`{field}` must be an array of strings"))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .map_err(|_| format!("`{field}` must be an array of strings"))
-        })
-        .collect()
-}
 
 /// Builds the cell grid for a `POST /sweeps` body.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed, unknown, or invalid
-/// field — including workload names that are not registered.
+/// field — including workload names that are not registered and thread
+/// overrides the simulated machine cannot run.
 pub fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
-    let obj = match j {
-        Json::Obj(fields) => fields,
-        _ => return Err("sweep spec must be a JSON object".into()),
-    };
-    let mut spec = SweepSpec::new();
-    for (name, value) in obj {
-        match name.as_str() {
-            "workloads" => {
-                for w in str_items(value, "workloads")? {
-                    if !WORKLOAD_NAMES.contains(&w.as_str()) {
-                        return Err(format!("unknown workload `{w}`"));
-                    }
-                    spec = spec.workload(&w);
-                }
-            }
-            "htm" => {
-                for h in str_items(value, "htm")? {
-                    spec = spec.htm(parse_htm(&h).map_err(|e| e.to_string())?);
-                }
-            }
-            "hints" => {
-                for h in str_items(value, "hints")? {
-                    spec = spec.hint(hint_from_str(&h)?);
-                }
-            }
-            "seeds" => {
-                let seeds = value
-                    .as_arr()
-                    .map_err(|_| "`seeds` must be an array of integers".to_string())?;
-                for s in seeds {
-                    spec = spec.seed(s.as_u64().map_err(|_| "bad seed".to_string())?);
-                }
-            }
-            "scale" => {
-                let s = value.as_str().map_err(|_| "`scale` must be a string")?;
-                spec = spec.scale(parse_scale(s).map_err(|e| e.to_string())?);
-            }
-            "threads" => {
-                if !matches!(value, Json::Null) {
-                    let t = value.as_u64().map_err(|_| "`threads` must be an integer")?;
-                    spec = spec.threads(t as usize);
-                }
-            }
-            "sim_threads" => {
-                let t = value
-                    .as_u64()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .ok_or("`sim_threads` must be an integer >= 1")?;
-                spec = spec.sim_threads(t as usize);
-            }
-            "smt2" => spec = spec.smt2(as_bool(value, "smt2")?),
-            "preserve" => spec = spec.preserve(as_bool(value, "preserve")?),
-            "alloc_colors" => {
-                let strides = value
-                    .as_arr()
-                    .map_err(|_| "`alloc_colors` must be an array of integers".to_string())?;
-                for s in strides {
-                    spec = spec.alloc_color(s.as_u64().map_err(|_| "bad alloc color".to_string())?);
-                }
-            }
-            other => return Err(format!("unknown sweep spec field `{other}`")),
+    let cells = SweepSpec::from_json(j)?.cells();
+    for cell in &cells {
+        if !WORKLOAD_NAMES.contains(&cell.workload.as_str()) {
+            return Err(format!("unknown workload `{}`", cell.workload));
         }
-    }
-    let cells = spec.cells();
-    if cells.is_empty() {
-        return Err("sweep spec enumerates zero cells".into());
+        cell.check()?;
     }
     Ok(cells)
-}
-
-fn as_bool(j: &Json, field: &str) -> Result<bool, String> {
-    match j {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("`{field}` must be a boolean")),
-    }
-}
-
-/// Rebuilds a [`Cell`] from its [`cell_to_json`] object (the claim wire
-/// format).
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
-pub fn cell_from_json(j: &Json) -> Result<Cell, String> {
-    let str_field = |name: &str| -> Result<&str, String> {
-        j.field(name)
-            .and_then(|v| v.as_str())
-            .map_err(|e| e.to_string())
-    };
-    let bool_field = |name: &str| -> Result<bool, String> {
-        match j.field(name).map_err(|e| e.to_string())? {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(format!("`{name}` must be a boolean")),
-        }
-    };
-    let mut cell = Cell::new(str_field("workload")?)
-        .htm(parse_htm(str_field("htm")?).map_err(|e| e.to_string())?)
-        .hint(hint_from_str(str_field("hints")?)?)
-        .scale(parse_scale(str_field("scale")?).map_err(|e| e.to_string())?)
-        .seed(
-            j.field("seed")
-                .and_then(|v| v.as_u64())
-                .map_err(|e| e.to_string())?,
-        )
-        .smt2(bool_field("smt2")?)
-        .preserve(bool_field("preserve")?)
-        .record_tx_sizes(bool_field("record_tx_sizes")?)
-        .profile_sharing(bool_field("profile_sharing")?);
-    match j.field("threads").map_err(|e| e.to_string())? {
-        Json::Null => {}
-        v => cell = cell.threads(v.as_u64().map_err(|e| e.to_string())? as usize),
-    }
-    // Absent on pre-lane manifests: those cells ran serially.
-    if let Some(v) = j.get("sim_threads") {
-        cell = cell.sim_threads(v.as_u64().map_err(|e| e.to_string())? as usize);
-    }
-    // Cells from workers built before the engine had one execution tier
-    // also carry `exec`; results never depended on it, so it is ignored.
-    // Absent on pre-placement manifests: those cells used the packed
-    // default layout.
-    if let Some(v) = j.get("alloc_color") {
-        cell = cell.alloc_color(v.as_u64().map_err(|e| e.to_string())?);
-    }
-    Ok(cell)
 }
 
 /// Renders a claim as the `/claim` response body.
@@ -317,15 +178,106 @@ pub fn result_from_json(cell: &Cell, j: &Json) -> Result<CellResult, String> {
     })
 }
 
-/// The canonical name of a cell's scale (re-exported for handlers).
-pub fn cell_scale_str(cell: &Cell) -> &'static str {
-    scale_str(cell.scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hintm::{HtmKind, Scale};
+    use hintm::cli::{parse, Command};
+    use hintm::{cell_from_json, HintMode, HtmKind, Scale, AXES};
+
+    /// One non-default value per axis, as each front end spells it: the
+    /// axis's JSON key, `hintm run` flags, `hintm sweep` flags, `POST
+    /// /sweeps` fields (empty for axes without a flag), and the cell the
+    /// builder makes from `kmeans`.
+    type AxisCase = (
+        &'static str,
+        &'static str,
+        &'static str,
+        &'static str,
+        fn(Cell) -> Cell,
+    );
+
+    #[rustfmt::skip]
+    const AXIS_CASES: [AxisCase; 12] = [
+        ("workload", "--workload genome", "--workloads genome", r#""workloads":["genome"]"#,
+            |_| Cell::new("genome")),
+        ("htm", "--htm l1tm", "--models l1tm", r#""htm":["l1tm"]"#, |c| c.htm(HtmKind::L1Tm)),
+        ("hints", "--hints HinTM", "--hints full", r#""hints":["HinTM"]"#,
+            |c| c.hint(HintMode::Full)),
+        ("scale", "--scale large", "--scale large", r#""scale":"large""#,
+            |c| c.scale(Scale::Large)),
+        ("seed", "--seed 7", "--seeds 7", r#""seeds":[7]"#, |c| c.seed(7)),
+        ("threads", "--threads 4", "--threads 4", r#""threads":4"#, |c| c.threads(4)),
+        ("sim_threads", "--sim-threads 2", "--sim-threads 2", r#""sim_threads":2"#,
+            |c| c.sim_threads(2)),
+        ("smt2", "--smt2", "--smt2", r#""smt2":true"#, |c| c.smt2(true)),
+        ("preserve", "--preserve", "--preserve", r#""preserve":true"#, |c| c.preserve(true)),
+        ("alloc_color", "--alloc-color 64", "--alloc-colors 64", r#""alloc_colors":[64]"#,
+            |c| c.alloc_color(64)),
+        ("record_tx_sizes", "", "", "", |c| c.record_tx_sizes(true)),
+        ("profile_sharing", "", "", "", |c| c.profile_sharing(true)),
+    ];
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn every_axis_agrees_across_front_ends() {
+        let base = Cell::new("kmeans");
+        let names: Vec<&str> = AXIS_CASES.iter().map(|c| c.0).collect();
+        let axes: Vec<&str> = AXES.iter().map(|a| a.json).collect();
+        assert_eq!(names, axes, "one case per axis, in table order");
+        for (json, run, sweep, wire, set) in AXIS_CASES {
+            let expected = set(base.clone());
+            let axis = AXES.iter().find(|a| a.json == json).unwrap();
+            assert_ne!(expected, base, "`{json}` case must leave the default");
+            if axis.flag.is_some() {
+                let cmd = parse(&argv(&format!("run --workload kmeans {run}"))).unwrap();
+                let Command::Run(ra) = cmd else { panic!() };
+                assert_eq!(ra.cell, expected, "`{json}` through `hintm run {run}`");
+                let Command::Trace(ta) = parse(&argv(&format!("trace kmeans {run}"))).unwrap()
+                else {
+                    panic!()
+                };
+                assert_eq!(
+                    ta.run.cell, expected,
+                    "`{json}` through `hintm trace {run}`"
+                );
+                let cmd = parse(&argv(&format!("sweep --workloads kmeans {sweep}"))).unwrap();
+                let Command::Sweep(sa) = cmd else { panic!() };
+                assert_eq!(
+                    sa.spec.cells(),
+                    std::slice::from_ref(&expected),
+                    "`{json}` through `{sweep}`"
+                );
+                let body = Json::parse(&format!(r#"{{"workloads":["kmeans"],{wire}}}"#)).unwrap();
+                assert_eq!(
+                    cells_from_spec_json(&body).unwrap(),
+                    std::slice::from_ref(&expected),
+                    "`{json}` through POST /sweeps {wire}"
+                );
+            } else {
+                assert!(run.is_empty() && sweep.is_empty() && wire.is_empty());
+                let body = Json::parse(&format!(r#"{{"{json}":true}}"#)).unwrap();
+                assert!(
+                    cells_from_spec_json(&body).is_err(),
+                    "`{json}` is not a wire key"
+                );
+            }
+            assert_eq!(
+                cell_from_json(&cell_to_json(&expected)),
+                Ok(expected.clone())
+            );
+            assert_eq!(
+                expected.key() != base.key(),
+                axis.key.is_some(),
+                "`{json}`: only axes with a key label change the key"
+            );
+        }
+        for cell in [base, Cell::new("labyrinth").threads(16).smt2(true).seed(3)] {
+            assert_eq!(cell_from_json(&cell_to_json(&cell)), Ok(cell));
+        }
+    }
 
     #[test]
     fn spec_json_mirrors_the_cli_axes() {
@@ -377,32 +329,18 @@ mod tests {
             r#"{"sim_threads":"two"}"#,
             r#"{"exec":"interp"}"#,
             r#"{"smt2":"yes"}"#,
+            r#"{"threads":9}"#,
+            r#"{"threads":0}"#,
+            r#"{"threads":16}"#,
+            r#"{"threads":17,"smt2":true}"#,
+            r#"{"alloc_colors":[18446744073709551615]}"#,
+            r#"{"alloc_colors":64}"#,
+            r#"{"record_tx_sizes":true}"#,
             r#"{"frobnicate":1}"#,
             r#"[1,2]"#,
         ] {
             let j = Json::parse(body).unwrap();
             assert!(cells_from_spec_json(&j).is_err(), "accepted {body}");
-        }
-    }
-
-    #[test]
-    fn cell_round_trips_through_json() {
-        let cells = [
-            Cell::new("kmeans"),
-            Cell::new("labyrinth")
-                .htm(HtmKind::L1Tm)
-                .hint(HintMode::Dynamic)
-                .scale(Scale::Large)
-                .seed(7)
-                .threads(16)
-                .sim_threads(4)
-                .smt2(true)
-                .preserve(true),
-        ];
-        for cell in &cells {
-            let back = cell_from_json(&cell_to_json(cell)).unwrap();
-            assert_eq!(&back, cell);
-            assert_eq!(back.key(), cell.key());
         }
     }
 
@@ -434,18 +372,6 @@ mod tests {
         let back = cell_from_json(&j).unwrap();
         assert_eq!(back, cell);
         assert_eq!(back.key(), cell.key());
-    }
-
-    #[test]
-    fn every_hint_display_name_parses_back() {
-        for mode in [
-            HintMode::Off,
-            HintMode::Static,
-            HintMode::Dynamic,
-            HintMode::Full,
-        ] {
-            assert_eq!(hint_from_str(&mode.to_string()).unwrap(), mode);
-        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! [`hintm::cli::execute`]. See `hintm help` or [`hintm::cli::USAGE`].
 
 use hintm::cli::{self, Command, ServeArgs, SweepArgs};
-use hintm_runner::{Cache, Runner, SweepSpec};
+use hintm::{Cell, Scale};
+use hintm_runner::{Cache, Runner};
 use hintm_serve::{join_loop, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,22 +32,9 @@ fn build_runner(sa: &SweepArgs) -> Runner {
 const SMOKE_WORKLOADS: [&str; 3] = ["kmeans", "ssca2", "tpcc-p"];
 
 fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
-    let mut spec = SweepSpec::new()
-        .htms(sa.htms.iter().copied())
-        .hints(sa.hints.iter().copied())
-        .seeds(sa.seeds.iter().copied())
-        .alloc_colors(sa.alloc_colors.iter().copied())
-        .scale(sa.scale)
-        .sim_threads(sa.sim_threads)
-        .smt2(sa.smt2)
-        .preserve(sa.preserve);
-    spec = if sa.workloads.is_empty() && sa.smoke {
-        spec.workloads(SMOKE_WORKLOADS)
-    } else {
-        spec.workloads(sa.workloads.iter().map(String::as_str))
-    };
-    if let Some(t) = sa.threads {
-        spec = spec.threads(t);
+    let mut spec = sa.spec.clone();
+    if sa.smoke && spec.values("workload").is_empty() {
+        spec = spec.workloads(SMOKE_WORKLOADS);
     }
     let cells = spec.cells();
     let runner = build_runner(sa);
@@ -88,26 +76,28 @@ fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
         return Err(format!("{} cell(s) crashed", result.crashed));
     }
     if sa.audit {
-        audit_sweep(sa, &cells)?;
+        audit_sweep(&cells)?;
     }
     if sa.analyze {
-        analyze_sweep(sa, &cells)?;
+        analyze_sweep(&cells)?;
     }
     Ok(())
 }
 
 /// Audits every distinct workload a sweep touched: runs the IR verifier,
 /// the lint set, and the dynamic sharing oracle once per workload at the
-/// sweep's scale and first seed.
-fn audit_sweep(sa: &SweepArgs, cells: &[hintm_runner::Cell]) -> Result<(), String> {
+/// sweep's first scale and seed (those of its first cell).
+fn audit_sweep(cells: &[Cell]) -> Result<(), String> {
     let mut names: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
     names.sort_unstable();
     names.dedup();
-    let seed = sa.seeds.first().copied().unwrap_or(42);
+    let (scale, seed) = cells
+        .first()
+        .map_or((Scale::Sim, 42), |c| (c.scale, c.seed));
     eprintln!("{}", cli::audit_header());
     let mut failed = 0usize;
     for name in names {
-        match hintm_audit::audit_workload(name, sa.scale, seed) {
+        match hintm_audit::audit_workload(name, scale, seed) {
             Some(r) => {
                 eprintln!("{}", cli::audit_row(&r));
                 if !r.passed() {
@@ -125,15 +115,16 @@ fn audit_sweep(sa: &SweepArgs, cells: &[hintm_runner::Cell]) -> Result<(), Strin
 
 /// Statically analyzes every distinct workload a sweep touched: footprint
 /// bounds, per-model capacity verdicts, and the hint-inference diff, at
-/// the sweep's scale. No extra simulator runs.
-fn analyze_sweep(sa: &SweepArgs, cells: &[hintm_runner::Cell]) -> Result<(), String> {
+/// the sweep's first scale. No extra simulator runs.
+fn analyze_sweep(cells: &[Cell]) -> Result<(), String> {
     let mut names: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
     names.sort_unstable();
     names.dedup();
+    let scale = cells.first().map_or(Scale::Sim, |c| c.scale);
     eprintln!("{}", cli::analyze_header());
     let mut failed = 0usize;
     for name in names {
-        match hintm_audit::analyze_workload(name, sa.scale) {
+        match hintm_audit::analyze_workload(name, scale) {
             Some(r) => {
                 eprintln!("{}", cli::analyze_row(&r));
                 if !r.passed() {

@@ -12,9 +12,10 @@ use hintm_runner::{CellOutcome, Runner};
 use std::io;
 use std::time::Duration;
 
-use crate::api::{cell_from_json, result_to_json};
+use crate::api::result_to_json;
 use crate::http::client_request;
 use crate::queue::Claim;
+use hintm::cell_from_json;
 
 /// How long a join worker sleeps after an empty `/claim` poll.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);

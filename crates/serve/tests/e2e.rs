@@ -419,6 +419,20 @@ fn error_paths_over_the_wire() {
     let body = String::from_utf8_lossy(&body);
     assert!(body.contains("unknown sweep spec field `exec`"), "{body}");
 
+    // Thread overrides the simulated machine cannot run are a 400 at
+    // submit, not a job of crashed cells.
+    for spec in [
+        r#"{"workloads":["kmeans"],"threads":9}"#,
+        r#"{"workloads":["kmeans"],"threads":0}"#,
+    ] {
+        let (status, body) = client_request(&addr, "POST", "/sweeps", spec.as_bytes()).unwrap();
+        assert_eq!(status, 400, "{spec}");
+        let body = String::from_utf8_lossy(&body);
+        assert!(body.contains("hardware threads"), "{body}");
+    }
+    let (status, _) = client_request(&addr, "GET", "/sweeps/0", b"").unwrap();
+    assert_eq!(status, 404, "a rejected spec enqueued a job");
+
     // A pending job's report is a 409 until workers exist to finish it.
     let id = submit(&addr, r#"{"workloads":["ssca2"]}"#);
     let (status, _) = client_request(&addr, "GET", &format!("/sweeps/{id}/report"), b"").unwrap();

@@ -41,6 +41,24 @@ impl fmt::Display for HintMode {
     }
 }
 
+impl std::str::FromStr for HintMode {
+    type Err = String;
+
+    /// Parses a hint mode case-insensitively: the CLI spellings (`off`,
+    /// `static`/`st`, `dynamic`/`dyn`, `full`) and the
+    /// [`Display`](fmt::Display) names (`baseline`, `HinTM-st`,
+    /// `HinTM-dyn`, `HinTM`).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "off" | "baseline" => Ok(HintMode::Off),
+            "static" | "st" | "hintm-st" => Ok(HintMode::Static),
+            "dynamic" | "dyn" | "hintm-dyn" => Ok(HintMode::Dynamic),
+            "full" | "hintm" => Ok(HintMode::Full),
+            _ => Err(format!("unknown hint mode `{s}`")),
+        }
+    }
+}
+
 /// Full configuration of one simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -143,6 +161,21 @@ mod tests {
         assert!(HintMode::Static.uses_static() && !HintMode::Static.uses_dynamic());
         assert!(!HintMode::Dynamic.uses_static() && HintMode::Dynamic.uses_dynamic());
         assert!(HintMode::Full.uses_static() && HintMode::Full.uses_dynamic());
+    }
+
+    #[test]
+    fn hint_mode_names_parse_back() {
+        use HintMode::*;
+        for (mode, cli) in [
+            (Off, "off"),
+            (Static, "st"),
+            (Dynamic, "dyn"),
+            (Full, "FULL"),
+        ] {
+            assert_eq!(mode.to_string().parse::<HintMode>(), Ok(mode));
+            assert_eq!(cli.parse::<HintMode>(), Ok(mode));
+        }
+        assert!("half".parse::<HintMode>().is_err());
     }
 
     #[test]

@@ -29,6 +29,28 @@ impl Scale {
     }
 }
 
+impl std::fmt::Display for Scale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Scale::Sim => "sim",
+            Scale::Large => "large",
+        })
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `sim` or `large`, case-insensitively.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "sim" => Ok(Scale::Sim),
+            "large" => Ok(Scale::Large),
+            _ => Err(format!("unknown scale `{s}`")),
+        }
+    }
+}
+
 /// An [`AccessSink`] that builds a transaction body, merging consecutive
 /// compute into one op.
 #[derive(Clone, Debug, Default)]
@@ -94,6 +116,15 @@ pub fn thread_rng(seed: u64, tid: usize, salt: u64) -> SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_parse_back() {
+        for scale in [Scale::Sim, Scale::Large] {
+            assert_eq!(scale.to_string().parse::<Scale>(), Ok(scale));
+        }
+        assert_eq!("LARGE".parse::<Scale>(), Ok(Scale::Large));
+        assert!("huge".parse::<Scale>().is_err());
+    }
 
     #[test]
     fn recorder_merges_compute() {
