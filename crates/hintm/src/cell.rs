@@ -33,17 +33,17 @@ pub struct Cell {
     pub seed: u64,
     /// Thread-count override (`None` = the workload's paper default).
     pub threads: Option<usize>,
-    /// Host threads for section generation (per-core lanes). Results are
-    /// bit-identical for every value, so this knob is deliberately NOT
-    /// part of [`Cell::key`] — the cache is shared across thread counts.
+    /// Accepted and validated (>= 1) for older specs and scripts, but
+    /// ignored: the engine always runs serially. Not part of
+    /// [`Cell::key`], so the cache is shared across values.
     pub sim_threads: usize,
     /// 2-way SMT (16 hardware threads on 8 cores).
     pub smt2: bool,
     /// §VI-B preserve optimization.
     pub preserve: bool,
     /// Heap-placement color stride in bytes (0 = packed). Placement
-    /// changes simulated addresses and so abort counts — unlike
-    /// `sim_threads`, this IS part of [`Cell::key`].
+    /// changes simulated addresses and so abort counts, so it is part of
+    /// [`Cell::key`].
     pub alloc_color: u64,
     /// Record per-committed-transaction footprints (Fig. 6 CDFs).
     pub record_tx_sizes: bool,
@@ -53,7 +53,7 @@ pub struct Cell {
 
 impl Default for Cell {
     /// The paper's defaults with no workload named: P8 HTM, no hints,
-    /// `Scale::Sim`, seed 42, one engine lane, packed heap.
+    /// `Scale::Sim`, seed 42, packed heap.
     fn default() -> Cell {
         Cell {
             workload: String::new(),
@@ -224,8 +224,8 @@ impl Cell {
         self
     }
 
-    /// Shards section generation across `n` host threads (clamped to 1).
-    /// Does not change results and does not enter [`Cell::key`].
+    /// Sets the ignored `sim_threads` spelling (clamped to 1). Does not
+    /// change results and does not enter [`Cell::key`].
     pub fn sim_threads(mut self, n: usize) -> Self {
         self.sim_threads = n.max(1);
         self
@@ -266,8 +266,8 @@ impl Cell {
     /// [`Axis::key`] label, in table order, joined by `|`. Two cells are
     /// the same run iff their keys are equal — the cache addresses results
     /// by a hash of this string. `sim_threads` is intentionally absent:
-    /// the engine is bit-identical across thread counts, so resubmitting
-    /// a spec at a different `sim_threads` must hit the cache.
+    /// the engine ignores it, so resubmitting a spec at a different
+    /// `sim_threads` must hit the cache.
     pub fn key(&self) -> String {
         let mut key = String::with_capacity(96);
         let mut sep = "";
@@ -528,9 +528,8 @@ impl SweepSpec {
         self.put("threads", Cell::default().threads(threads))
     }
 
-    /// Host generation threads applied to every enumerated cell
-    /// (including extras). Purely a throughput knob — see
-    /// [`Cell::sim_threads`].
+    /// The ignored `sim_threads` spelling, applied to every enumerated
+    /// cell (including extras) — see [`Cell::sim_threads`].
     pub fn sim_threads(self, n: usize) -> Self {
         self.put("sim_threads", Cell::default().sim_threads(n))
     }
@@ -604,8 +603,8 @@ mod tests {
 
     #[test]
     fn sim_threads_is_not_part_of_the_key() {
-        // The engine is bit-identical across sim_threads, so the cache
-        // must hit across values: the key deliberately excludes it.
+        // The engine ignores sim_threads, so the cache must hit across
+        // values: the key deliberately excludes it.
         let a = Cell::new("kmeans");
         assert_eq!(a.key(), a.clone().sim_threads(4).key());
         assert_eq!(Cell::new("kmeans").sim_threads(0).sim_threads, 1);

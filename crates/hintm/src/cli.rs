@@ -209,10 +209,6 @@ pub struct SweepArgs {
 pub struct PerfArgs {
     /// Use the 5-cell smoke grid instead of the full pinned grid.
     pub smoke: bool,
-    /// Host generation threads used for every timed run. Recorded in the
-    /// snapshot; baselines taken at a different thread count refuse to
-    /// compare.
-    pub threads: usize,
     /// Timed repetitions per cell. The slowest repetition is dropped as
     /// noise when `repeat >= 3`, then the median of the rest is reported.
     pub repeat: usize,
@@ -233,7 +229,6 @@ impl Default for PerfArgs {
     fn default() -> Self {
         PerfArgs {
             smoke: false,
-            threads: 1,
             repeat: 5,
             warmup: 1,
             out: None,
@@ -281,8 +276,8 @@ OPTIONS:
   --seed <n>               run seed                                  [42]
   --scale <s>              sim | large                              [sim]
   --threads <n>            override the workload's thread count
-  --sim-threads <n>        host threads for section generation (per-core
-                           lanes; results are bit-identical for any value) [1]
+  --sim-threads <n>        accepted for older scripts and ignored: the
+                           engine always runs serially                    [1]
   --smt2                   2-way SMT (16 hardware threads)
   --preserve               enable the preserve page-transition optimization
   --alloc-color <bytes>    heap-placement color stride: pad every fresh heap
@@ -349,9 +344,6 @@ the result cache across workers and repeat submissions):
 PERF OPTIONS (times the pinned grid, writes BENCH_<date>.json, and fails
 when the median events/sec regresses past the threshold):
   --smoke                  5-cell smoke grid instead of the full 25-cell grid
-  --threads <n>            host generation threads for every timed run;
-                           recorded in the snapshot, and baselines taken at a
-                           different count refuse to compare               [1]
   --repeat <n>             timed repetitions per cell; with --repeat >= 3 the
                            slowest repetition is dropped as noise and the
                            median of the rest is reported (at 1-2 reps every
@@ -607,7 +599,6 @@ fn parse_perf(args: &[String]) -> Result<Command, CliError> {
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => pa.smoke = true,
-            "--threads" => pa.threads = parsed(args, &mut i)?,
             "--repeat" => pa.repeat = parsed(args, &mut i)?,
             "--warmup" => pa.warmup = parsed(args, &mut i)?,
             "--out" => pa.out = Some(value(args, &mut i)?),
@@ -626,8 +617,8 @@ fn parse_perf(args: &[String]) -> Result<Command, CliError> {
         }
         i += 1;
     }
-    if pa.repeat == 0 || pa.threads == 0 {
-        return Err(CliError("--repeat and --threads must be at least 1".into()));
+    if pa.repeat == 0 {
+        return Err(CliError("--repeat must be at least 1".into()));
     }
     Ok(Command::Perf(pa))
 }
@@ -1410,17 +1401,12 @@ mod tests {
         assert_eq!(pa.out.as_deref(), Some("bench"));
         assert_eq!(pa.baseline.as_deref(), Some("BENCH_x.json"));
         assert_eq!(pa.threshold, Some(0.1));
-        let Command::Perf(pa) = parse(&argv("perf --threads 2")).unwrap() else {
-            panic!("expected perf")
-        };
-        assert_eq!(pa.threads, 2);
-        assert_eq!(PerfArgs::default().threads, 1, "perf defaults to serial");
     }
 
     #[test]
     fn perf_rejects_bad_input() {
         assert!(parse(&argv("perf --repeat 0")).is_err());
-        assert!(parse(&argv("perf --threads 0")).is_err());
+        assert!(parse(&argv("perf --threads 2")).is_err());
         assert!(parse(&argv("perf --repeat nope")).is_err());
         assert!(parse(&argv("perf --threshold 1.5")).is_err());
         assert!(parse(&argv("perf --threshold -0.1")).is_err());

@@ -120,19 +120,9 @@ impl Experiment {
         self
     }
 
-    /// Shards section generation across `n` host threads (per-core lanes
-    /// with epoch-merged execution). Results are bit-identical for every
-    /// value; this only trades host parallelism for throughput. Clamped
-    /// to at least 1.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.cell = self.cell.sim_threads(n);
-        self
-    }
-
     /// Selects the heap-placement policy ([`AllocConfig`]) the workload's
     /// simulated allocator uses — the malloc-placement sensitivity axis.
-    /// Unlike `sim_threads`, placement changes the address stream
-    /// and therefore the results.
+    /// Placement changes the address stream and therefore the results.
     ///
     /// # Panics
     ///
@@ -197,7 +187,6 @@ impl Experiment {
         cfg.preserve = c.preserve;
         cfg.record_tx_sizes = c.record_tx_sizes;
         cfg.profile_sharing = c.profile_sharing;
-        cfg.sim_threads = c.sim_threads;
         if let Some((read, write)) = self.lrws_limits {
             cfg.htm.lrws_read_limit = read;
             cfg.htm.lrws_write_limit = write;

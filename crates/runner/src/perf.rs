@@ -12,10 +12,9 @@
 //! guards *correctness* of hot-path rewrites; this harness guards their
 //! *speed*. Together they pin both sides of an optimization.
 //!
-//! Snapshot schema (`schema_version` 3; version 1 files lack `threads`
-//! and are read as `threads: 1`; version 3 files written while the engine
-//! had a second execution tier also carry an `exec` field, which is
-//! ignored):
+//! Snapshot schema (`schema_version` 3; version 3 files written while the
+//! engine had a second execution tier also carry an `exec` field, which
+//! is ignored):
 //!
 //! ```json
 //! {
@@ -23,7 +22,6 @@
 //!   "created": "2026-08-06",
 //!   "git_rev": "dc3908a",
 //!   "grid": "full",
-//!   "threads": 1,
 //!   "repeat": 5,
 //!   "warmup": 1,
 //!   "median_events_per_sec": 2026240.0,
@@ -35,11 +33,12 @@
 //! }
 //! ```
 //!
-//! `threads` is the engine's `sim_threads` lane count. Throughput at
-//! different lane counts measures different host behavior, so a snapshot
-//! is only ever compared against a baseline taken at the *same* count: a
-//! mismatched auto-discovered baseline skips the comparison with a
-//! notice, and a mismatched explicit `--baseline` is an error.
+//! Snapshots written while the engine had host lanes (schema versions 2
+//! and 3) also carry a top-level `threads` lane count; absent means 1.
+//! The engine now always runs serially, so a baseline whose `threads` is
+//! not 1 timed an engine that no longer exists: an auto-discovered one
+//! skips the comparison with a notice, and an explicit `--baseline` is an
+//! error.
 
 use hintm::cli::PerfArgs;
 use hintm::{Cell, HtmKind, Json, SweepSpec};
@@ -49,9 +48,9 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Snapshot format version (bump on breaking schema changes). Version 2
-/// added the top-level `threads` field; version 3 added the execution
-/// tier, since removed again (the field is ignored when present). Older
-/// files are still read, with `threads` defaulting to 1.
+/// added a top-level `threads` lane count and version 3 an execution
+/// tier; both are gone from the engine, and new snapshots write neither.
+/// Older files are still read, with `threads` defaulting to 1.
 pub const BENCH_SCHEMA_VERSION: u64 = 3;
 
 /// Default failure threshold: >25% slower than the baseline fails.
@@ -152,9 +151,8 @@ pub fn noise_rejected_median(runs_ns: &[u64]) -> u64 {
     median_u64(&mut sorted)
 }
 
-/// Measures one cell: `warmup` untimed runs, `repeat` timed runs, with
-/// the engine at `threads` generation lanes; [`noise_rejected_median`]
-/// picks the representative wall time.
+/// Measures one cell: `warmup` untimed runs, `repeat` timed runs;
+/// [`noise_rejected_median`] picks the representative wall time.
 /// The grids pin the run configuration (seed 42, sim scale, hints off) so
 /// snapshots are comparable across machines only in ratio, but across
 /// commits on one machine in absolute terms. All raw repeats (including
@@ -163,13 +161,8 @@ pub fn noise_rejected_median(runs_ns: &[u64]) -> u64 {
 /// # Errors
 ///
 /// Returns an error for unknown workloads (a grid typo).
-pub fn measure_cell(
-    cell: &Cell,
-    warmup: usize,
-    repeat: usize,
-    threads: usize,
-) -> Result<CellMeasurement, String> {
-    let exp = cell.clone().sim_threads(threads).experiment();
+pub fn measure_cell(cell: &Cell, warmup: usize, repeat: usize) -> Result<CellMeasurement, String> {
+    let exp = cell.experiment();
     let mut events = 0u64;
     for _ in 0..warmup {
         let r = exp.run().map_err(|e| e.to_string())?;
@@ -234,19 +227,12 @@ fn git_rev() -> String {
 }
 
 /// Serializes a snapshot to the BENCH JSON schema.
-pub fn snapshot_json(
-    cells: &[CellMeasurement],
-    grid: &str,
-    threads: usize,
-    repeat: usize,
-    warmup: usize,
-) -> Json {
+pub fn snapshot_json(cells: &[CellMeasurement], grid: &str, repeat: usize, warmup: usize) -> Json {
     Json::Obj(vec![
         ("schema_version".into(), Json::u64(BENCH_SCHEMA_VERSION)),
         ("created".into(), Json::Str(today_utc())),
         ("git_rev".into(), Json::Str(git_rev())),
         ("grid".into(), Json::Str(grid.into())),
-        ("threads".into(), Json::u64(threads as u64)),
         ("repeat".into(), Json::u64(repeat as u64)),
         ("warmup".into(), Json::u64(warmup as u64)),
         (
@@ -284,8 +270,8 @@ pub struct Baseline {
     pub path: PathBuf,
     /// Commit recorded in the snapshot.
     pub git_rev: String,
-    /// Generation-lane count the snapshot was taken at (1 for schema
-    /// version 1 files, which predate the field).
+    /// Engine lane count the snapshot was taken at (1 when the field is
+    /// absent: version 1 files predate it and current ones omit it).
     pub threads: usize,
     /// Grid name the snapshot timed (`full` when the field is absent —
     /// only full-grid snapshots predate it).
@@ -315,7 +301,7 @@ pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
             path.display()
         ));
     }
-    // v1 predates the field; those snapshots were all taken serially.
+    // v1 predates the field and current snapshots omit it: both serial.
     let threads = match j.get("threads") {
         Some(v) => v.as_u64().map_err(|e| e.to_string())? as usize,
         None => 1,
@@ -427,16 +413,15 @@ pub fn run_perf(pa: &PerfArgs) -> Result<(), String> {
     ));
 
     eprintln!(
-        "perf: {} grid, {} cells, warmup {} + repeat {}, threads {}",
+        "perf: {} grid, {} cells, warmup {} + repeat {}",
         grid_name,
         grid.len(),
         pa.warmup,
         pa.repeat,
-        pa.threads,
     );
     let mut cells = Vec::with_capacity(grid.len());
     for c in &grid {
-        let m = measure_cell(c, pa.warmup, pa.repeat, pa.threads)?;
+        let m = measure_cell(c, pa.warmup, pa.repeat)?;
         eprintln!(
             "  {:<10} {:<7} {:>9} events  {:>9.0} ev/s  ({:.1} ms median)",
             m.workload,
@@ -451,7 +436,7 @@ pub fn run_perf(pa: &PerfArgs) -> Result<(), String> {
     eprintln!("perf: overall median {median:.0} events/sec");
 
     fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
-    let json = snapshot_json(&cells, grid_name, pa.threads, pa.repeat, pa.warmup);
+    let json = snapshot_json(&cells, grid_name, pa.repeat, pa.warmup);
     let mut file =
         fs::File::create(&stamp_path).map_err(|e| format!("{}: {e}", stamp_path.display()))?;
     writeln!(file, "{json}").map_err(|e| e.to_string())?;
@@ -472,31 +457,28 @@ pub fn run_perf(pa: &PerfArgs) -> Result<(), String> {
         return Ok(());
     };
     let base = load_baseline(&bp)?;
-    if base.grid != grid_name {
-        // A smoke median covers a different (and far smaller) cell set
-        // than a full-grid median: the ratio compares nothing comparable.
-        let msg = format!(
+    // A smoke median covers a different (and far smaller) cell set than a
+    // full-grid median, and a multi-lane baseline timed an engine that no
+    // longer exists: either ratio compares nothing comparable. An explicit
+    // ask that can't be honored is an error; an auto-discovered mismatch
+    // just skips the comparison.
+    let mismatch = if base.grid != grid_name {
+        Some(format!(
             "baseline {} timed the {} grid, this run the {} grid",
             base.path.display(),
             base.grid,
             grid_name
-        );
-        if pa.baseline.is_some() {
-            return Err(format!("perf: refusing comparison: {msg}"));
-        }
-        eprintln!("perf: comparison skipped: {msg}");
-        return Ok(());
-    }
-    if base.threads != pa.threads {
-        // Lane counts measure different host behavior; the ratio would be
-        // meaningless. An explicit ask that can't be honored is an error;
-        // an auto-discovered mismatch just skips the comparison.
-        let msg = format!(
-            "baseline {} was taken at threads {}, this run at threads {}",
+        ))
+    } else if base.threads != 1 {
+        Some(format!(
+            "baseline {} was taken on the retired lane engine at threads {}",
             base.path.display(),
-            base.threads,
-            pa.threads
-        );
+            base.threads
+        ))
+    } else {
+        None
+    };
+    if let Some(msg) = mismatch {
         if pa.baseline.is_some() {
             return Err(format!("perf: refusing comparison: {msg}"));
         }
@@ -604,10 +586,10 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_20260101.json");
-        fs::write(&path, snapshot_json(&cells, "smoke", 4, 2, 1).to_string()).unwrap();
+        fs::write(&path, snapshot_json(&cells, "smoke", 2, 1).to_string()).unwrap();
         let b = load_baseline(&path).unwrap();
         assert_eq!(b.median_events_per_sec, 1.5e9);
-        assert_eq!(b.threads, 4);
+        assert_eq!(b.threads, 1, "new snapshots omit `threads`: serial");
         assert_eq!(b.grid, "smoke");
         assert_eq!(b.cells.len(), 2);
         assert_eq!(b.cells[0].0, "kmeans");
@@ -703,20 +685,10 @@ mod tests {
 
     #[test]
     fn smoke_measurement_produces_sane_numbers() {
-        let m = measure_cell(&Cell::new("kmeans"), 0, 1, 1).unwrap();
+        let m = measure_cell(&Cell::new("kmeans"), 0, 1).unwrap();
         assert!(m.events > 0);
         assert!(m.wall_ns > 0);
         assert!(m.events_per_sec > 0.0);
         assert_eq!(m.runs_ns.len(), 1);
-    }
-
-    #[test]
-    fn lane_counts_agree_on_events() {
-        // The engine is bit-identical across sim_threads, so the event
-        // count a measurement reports must not depend on the lane count.
-        let cell = Cell::new("kmeans");
-        let serial = measure_cell(&cell, 0, 1, 1).unwrap();
-        let laned = measure_cell(&cell, 0, 1, 4).unwrap();
-        assert_eq!(serial.events, laned.events);
     }
 }

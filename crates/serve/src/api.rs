@@ -19,10 +19,10 @@
 //! }
 //! ```
 //!
-//! `sim_threads` is the engine's host-lane count (`--sim-threads` on the
-//! CLI): results are bit-identical for every value, so it is not part of
-//! the cell key and resubmitting a spec at a different lane count is a
-//! pure cache replay.
+//! `sim_threads` (`--sim-threads` on the CLI) is accepted, validated and
+//! echoed for older clients, but ignored: the engine always runs serially.
+//! It is not part of the cell key, so resubmitting a spec at a different
+//! value is a pure cache replay.
 //!
 //! Every field is optional with the same defaults as the CLI; unknown
 //! fields are rejected so typos fail loudly instead of silently sweeping
@@ -97,8 +97,8 @@ pub fn job_to_json(snap: &JobSnapshot) -> Json {
             Json::Obj(fields)
         })
         .collect();
-    // The spec applies one lane count to every cell, so the first cell
-    // speaks for the job (1 for the empty edge case).
+    // The spec applies one `sim_threads` value to every cell, so the
+    // first cell speaks for the job (1 for the empty edge case).
     let sim_threads = snap.cells.first().map_or(1, |c| c.sim_threads);
     Json::Obj(vec![
         ("id".into(), Json::u64(snap.id as u64)),
@@ -345,9 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn pre_lane_cell_json_defaults_to_one_lane() {
-        // Manifests written before the lane engine carry no
-        // `sim_threads`; those cells ran serially.
+    fn cell_json_without_sim_threads_defaults_to_one() {
+        // Manifests written before the `sim_threads` spelling existed
+        // carry no such field; they read back as the default.
         let cell = Cell::new("kmeans").sim_threads(8);
         let mut j = cell_to_json(&cell);
         if let Json::Obj(fields) = &mut j {
@@ -355,7 +355,7 @@ mod tests {
         }
         let back = cell_from_json(&j).unwrap();
         assert_eq!(back.sim_threads, 1);
-        // Lane count is not part of the key, so the claim still dedups.
+        // `sim_threads` is not part of the key, so the claim still dedups.
         assert_eq!(back.key(), cell.key());
     }
 

@@ -270,10 +270,6 @@ fn stats(shared: &Shared) -> Response {
                     ("executed".into(), Json::u64(q.executed)),
                     ("cached".into(), Json::u64(q.cached)),
                     ("crashed".into(), Json::u64(q.crashed)),
-                    (
-                        "sim_threads_max".into(),
-                        Json::u64(q.sim_threads_max as u64),
-                    ),
                 ]),
             ),
             ("cache".into(), cache),

@@ -213,38 +213,37 @@ fn stats_cache_section_matches_a_cold_cache_scan() {
 }
 
 #[test]
-fn resubmission_at_a_different_lane_count_is_a_cache_replay() {
-    // `sim_threads` only shards the engine across host lanes — results
-    // are bit-identical, the cell key excludes it, and so a warm spec
-    // resubmitted at a different lane count must execute zero cells.
-    let server = start_server("lanes", 2);
+fn sim_threads_is_ignored_so_a_resubmission_is_a_cache_replay() {
+    // `sim_threads` is accepted but ignored, and the cell key excludes
+    // it, so a warm spec resubmitted at a different value must execute
+    // zero cells.
+    let server = start_server("sim-threads", 2);
     let addr = server.addr().to_string();
 
     let spec_serial = r#"{"workloads":["ssca2","kmeans"],"sim_threads":1}"#;
-    let spec_lanes = r#"{"workloads":["ssca2","kmeans"],"sim_threads":4}"#;
+    let spec_four = r#"{"workloads":["ssca2","kmeans"],"sim_threads":4}"#;
 
     let first = submit(&addr, spec_serial);
     await_job(&addr, first);
     let executed_after_first = queue_counter(&addr, "executed");
     assert_eq!(executed_after_first, 2);
 
-    let second = submit(&addr, spec_lanes);
+    let second = submit(&addr, spec_four);
     await_job(&addr, second);
     assert_eq!(
         queue_counter(&addr, "executed"),
         executed_after_first,
-        "a lane-count change re-executed cells"
+        "a sim_threads change re-executed cells"
     );
 
-    // Both jobs surface their lane count, and /stats tracks the max.
+    // Both jobs echo the value they were submitted with.
     let (_, a) = get_json(&addr, &format!("/sweeps/{first}"));
     assert_eq!(a.field("sim_threads").unwrap().as_u64().unwrap(), 1);
     let (_, b) = get_json(&addr, &format!("/sweeps/{second}"));
     assert_eq!(b.field("sim_threads").unwrap().as_u64().unwrap(), 4);
     assert_eq!(b.field("cached").unwrap().as_u64().unwrap(), 2);
-    assert_eq!(queue_counter(&addr, "sim_threads_max"), 4);
 
-    // Identical reports: the lane count never changes results.
+    // Identical reports: sim_threads never changes results.
     let (_, report_a) = client_request(
         &addr,
         "GET",

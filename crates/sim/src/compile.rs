@@ -59,16 +59,7 @@ pub(crate) const K_SUSPEND: u8 = 2 << 6;
 /// Kind: end an escape window (a step-consuming no-op).
 pub(crate) const K_RESUME: u8 = 3 << 6;
 
-/// One unit delivered from generation to the merge loop.
-#[derive(Debug)]
-pub(crate) enum Resolved {
-    Program(AccessProgram),
-    Barrier,
-    Done,
-}
-
-/// Turns sections into [`AccessProgram`]s. Immutable after construction,
-/// so lane workers can share it by reference.
+/// Turns sections into [`AccessProgram`]s. Immutable after construction.
 pub(crate) struct Resolver {
     uses_static: bool,
     safe_sites: Vec<SiteId>,
@@ -128,14 +119,18 @@ impl Resolver {
     }
 
     /// Lowers `section` into `buf`'s storage (a retired program, or an
-    /// empty one).
-    pub(crate) fn resolve_into(&self, section: Section, mut buf: AccessProgram) -> Resolved {
+    /// empty one); `None` for a barrier, which carries no ops.
+    pub(crate) fn resolve_into(
+        &self,
+        section: Section,
+        mut buf: AccessProgram,
+    ) -> Option<AccessProgram> {
         match section {
-            Section::Barrier => return Resolved::Barrier,
+            Section::Barrier => return None,
             Section::NonTx(ops) => self.lower_into(false, &ops, &mut buf),
             Section::Tx(body) => self.lower_into(true, &body.ops, &mut buf),
         }
-        Resolved::Program(buf)
+        Some(buf)
     }
 
     /// Lowers one section body, one slot per source op. Escape windows are
@@ -493,7 +488,7 @@ mod tests {
             // Lower into a recycled buffer that held a longer program.
             let mut buf = AccessProgram::default();
             resolver.lower_into(!tx, &random_ops(&mut rng), &mut buf);
-            let Resolved::Program(p) = resolver.resolve_into(section, buf) else {
+            let Some(p) = resolver.resolve_into(section, buf) else {
                 panic!("case {case}: a section lowers to a program");
             };
             assert_eq!(p.is_tx(), tx, "case {case}");

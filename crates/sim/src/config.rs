@@ -90,15 +90,6 @@ pub struct SimConfig {
     pub profile_sharing: bool,
     /// Safety valve: abort the run after this many engine steps.
     pub max_steps: u64,
-    /// Host threads for the simulation engine (the lane/epoch-merge
-    /// architecture): `1` runs everything on the calling thread; `N > 1`
-    /// shards section generation and program resolution across `N` lane
-    /// workers while the merge loop executes all shared-state interactions
-    /// in canonical core-index order. Results are bit-identical for every
-    /// value. Workloads that do not opt in via
-    /// [`crate::Workload::generation_is_thread_local`] silently run the
-    /// serial path.
-    pub sim_threads: usize,
 }
 
 impl Default for SimConfig {
@@ -117,7 +108,6 @@ impl Default for SimConfig {
             record_tx_sizes: false,
             profile_sharing: false,
             max_steps: 2_000_000_000,
-            sim_threads: 1,
         }
     }
 }
@@ -140,13 +130,6 @@ impl SimConfig {
     /// Builder-style: enables SMT-2 (L1TM experiments).
     pub fn smt2(mut self) -> Self {
         self.machine.smt = hintm_types::SmtMode::Smt2;
-        self
-    }
-
-    /// Builder-style: sets the number of host lane threads (`0` is treated
-    /// as `1`).
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
         self
     }
 }

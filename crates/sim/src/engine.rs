@@ -2,35 +2,18 @@
 //! transaction lifecycle, eager conflict detection, fallback locking, and
 //! page-mode abort orchestration.
 //!
-//! # Lane/epoch-merge architecture
+//! # Serial section feed
 //!
-//! The engine is split into two roles:
-//!
-//! * **Lane workers** (host threads) own fixed subsets of the simulated
-//!   hardware threads (thread `i` belongs to lane `i % lanes`). A lane
-//!   pulls sections from the workload (serialized behind a lock) and
-//!   *lowers* them into packed `AccessProgram`s — per-op static-safety
-//!   verdicts and escape-window membership — entirely off the merge loop's
-//!   critical path. Lowered programs flow to the merge loop through
-//!   bounded per-thread channels (the *epoch window*), so a lane can run at
-//!   most `EPOCH_WINDOW` sections ahead of execution.
-//! * **The merge loop** (the calling thread) is the authoritative serial
-//!   scheduler: it alone touches the shared simulated state — the cache
-//!   hierarchy, the VM/page table, the HTM trackers, the fallback lock —
-//!   and executes every operation in canonical min-(clock, core-index)
-//!   order. Cross-core interactions (conflict probes, coherence,
-//!   commit/abort ordering) therefore resolve identically at any lane
-//!   count, and [`TraceSink`] emission happens only here, in merge order.
-//!
-//! Because all shared-state mutation is confined to the merge loop, runs
-//! are bit-identical for every `sim_threads` value by construction; the
-//! lanes only parallelize generation + resolution, which the opt-in
-//! [`Workload::generation_is_thread_local`] contract guarantees is
-//! order-independent across threads.
+//! The engine runs on the calling thread. When a hardware thread goes
+//! idle, the scheduler loop asks the workload for that thread's next section
+//! and lowers it into an `AccessProgram`, reusing the slot buffer of a
+//! retired program. Execution follows canonical min-(clock, core-index)
+//! order, and [`TraceSink`] events are emitted in that same order.
+//! Every run is deterministic for a given seed.
 //!
 //! # Hot-path structure
 //!
-//! The merge loop is monomorphized over the sink (`NoSink` for untraced
+//! The scheduler loop is monomorphized over the sink (`NoSink` for untraced
 //! runs compiles every event construction away), executes pre-resolved
 //! programs (no per-access hint-set searches; programs are reused verbatim
 //! across retries), and keeps a *same-thread fast path*: after a step that
@@ -42,12 +25,11 @@
 //! Sections replay from their lowered [`crate::AccessProgram`]s (see
 //! [`crate::compile`]): one packed slot per scheduling step, whose opword
 //! carries the pre-resolved escape-window membership, so no thread keeps
-//! runtime suspend state. The serial feed lowers each section into the
-//! buffer of a retired program; each lane lowers into a fresh one.
+//! runtime suspend state.
 
 use crate::compile::{
-    decode_access, AccessProgram, Resolved, Resolver, F_ESCAPED, F_RAW_STATIC, F_STATIC_SAFE,
-    K_COMPUTE, K_MASK, K_RESUME, K_SUSPEND,
+    decode_access, AccessProgram, Resolver, F_ESCAPED, F_RAW_STATIC, F_STATIC_SAFE, K_COMPUTE,
+    K_MASK, K_RESUME, K_SUSPEND,
 };
 use crate::config::SimConfig;
 use crate::section::Workload;
@@ -60,49 +42,13 @@ use hintm_types::{
 };
 use hintm_vm::{SharingProfiler, VmSystem};
 use std::collections::HashSet;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Mutex;
-
-/// Bounded per-thread lane depth: how many resolved sections a lane may
-/// buffer ahead of the merge loop.
-const EPOCH_WINDOW: usize = 64;
-
-/// Where the merge loop gets resolved sections from.
-enum Feed<'w, 'r> {
-    /// Serial path: generate + resolve inline at the `Idle` step.
-    Direct {
-        workload: &'w mut dyn Workload,
-        resolver: &'r Resolver,
-    },
-    /// Lane path: per-thread receivers fed by lane workers.
-    Lanes(Vec<Receiver<Resolved>>),
-}
-
-impl Feed<'_, '_> {
-    /// Fetch the next resolved section for `tid`. `recycle` donates a
-    /// retired program's storage to the serial path (lane programs are
-    /// built on the worker side, so it is dropped there).
-    fn next(&mut self, tid: usize, recycle: Option<AccessProgram>) -> Resolved {
-        match self {
-            Feed::Direct { workload, resolver } => {
-                match workload.next_section(ThreadId(tid as u32)) {
-                    None => Resolved::Done,
-                    Some(s) => resolver.resolve_into(s, recycle.unwrap_or_default()),
-                }
-            }
-            Feed::Lanes(rxs) => rxs[tid]
-                .recv()
-                .expect("generation lane disconnected (worker panicked)"),
-        }
-    }
-}
 
 /// What a hardware thread is doing. The section payload lives in
 /// [`ThreadCtx::prog`]; keeping the discriminant `Copy` makes the
 /// scheduler scan touch no refcounts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Mode {
-    /// Needs a new section from the feed.
+    /// Needs a new section from the workload.
     Idle,
     /// Executing a hardware transaction.
     InTx,
@@ -237,9 +183,7 @@ impl Simulator {
     /// order.
     ///
     /// The sink never affects the simulation: the returned statistics are
-    /// bit-identical to an unsinked run with the same seed, and the event
-    /// stream is bit-identical at every `sim_threads` value (emission
-    /// happens only in the merge loop, in merge order). Sinks that return
+    /// bit-identical to an unsinked run with the same seed. Sinks that return
     /// `false` from [`TraceSink::wants_accesses`] skip the per-access
     /// events (the bulk of the stream) entirely.
     pub fn run_with_sink(
@@ -267,11 +211,6 @@ impl Simulator {
             self.cfg.machine.num_cores * smt
         );
         assert!(n <= 64, "active-transaction bitmask covers 64 threads");
-        let lanes = if self.cfg.sim_threads > 1 && workload.generation_is_thread_local() {
-            self.cfg.sim_threads.min(n)
-        } else {
-            1
-        };
         match sink {
             Some(s) => {
                 let want_access = s.wants_accesses();
@@ -280,14 +219,13 @@ impl Simulator {
                     &resolver,
                     n,
                     smt,
-                    lanes,
                     DynSink {
                         sink: s,
                         want_access,
                     },
                 )
             }
-            None => self.drive(workload, &resolver, n, smt, lanes, NoSink),
+            None => self.drive(workload, &resolver, n, smt, NoSink),
         }
     }
 
@@ -297,111 +235,15 @@ impl Simulator {
         resolver: &Resolver,
         n: usize,
         smt: usize,
-        lanes: usize,
         sink: S,
     ) -> RunStats {
         let mut engine = Engine::new(&self.cfg, n, smt, sink);
-        if lanes <= 1 {
-            let mut feed = Feed::Direct { workload, resolver };
-            engine.run(&mut feed);
-            return engine.into_stats();
-        }
-        // Lane path: one bounded channel per simulated thread, lane worker
-        // `k` generating for threads `i ≡ k (mod lanes)`.
-        let mut txs: Vec<Option<SyncSender<Resolved>>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Receiver<Resolved>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = sync_channel(EPOCH_WINDOW);
-            txs.push(Some(tx));
-            rxs.push(rx);
-        }
-        let gen = Mutex::new(workload);
-        std::thread::scope(|scope| {
-            for k in 0..lanes {
-                let mine: Vec<(usize, SyncSender<Resolved>)> = (k..n)
-                    .step_by(lanes)
-                    .map(|i| (i, txs[i].take().expect("sender claimed once")))
-                    .collect();
-                let gen = &gen;
-                scope.spawn(move || lane_worker(gen, resolver, mine));
-            }
-            // If the merge loop panics (max_steps, deadlock assert), the
-            // receivers drop during unwinding, the workers' try_send fails
-            // with Disconnected and they exit — the scope join cannot hang.
-            let mut feed = Feed::Lanes(rxs);
-            engine.run(&mut feed);
-            engine.into_stats()
-        })
+        engine.run(workload, resolver);
+        engine.into_stats()
     }
 }
 
-/// One generation lane: round-robins its threads, pulling sections behind
-/// the lock, resolving them outside it, and delivering through bounded
-/// channels without ever blocking on a single full channel (a parked
-/// thread's full window must not starve the lane's other threads).
-fn lane_worker(
-    gen: &Mutex<&mut dyn Workload>,
-    resolver: &Resolver,
-    mine: Vec<(usize, SyncSender<Resolved>)>,
-) {
-    struct Slot {
-        tid: usize,
-        tx: SyncSender<Resolved>,
-        pending: Option<Resolved>,
-        finished: bool,
-    }
-    let mut slots: Vec<Slot> = mine
-        .into_iter()
-        .map(|(tid, tx)| Slot {
-            tid,
-            tx,
-            pending: None,
-            finished: false,
-        })
-        .collect();
-    loop {
-        let mut progress = false;
-        let mut open = 0usize;
-        for slot in slots.iter_mut() {
-            if slot.finished {
-                continue;
-            }
-            open += 1;
-            if slot.pending.is_none() {
-                let section = {
-                    let mut w = gen.lock().expect("generation lock poisoned");
-                    w.next_section(ThreadId(slot.tid as u32))
-                };
-                slot.pending = Some(match section {
-                    None => Resolved::Done,
-                    Some(s) => resolver.resolve_into(s, AccessProgram::default()),
-                });
-            }
-            let item = slot.pending.take().expect("pending set above");
-            let is_done = matches!(item, Resolved::Done);
-            match slot.tx.try_send(item) {
-                Ok(()) => {
-                    progress = true;
-                    if is_done {
-                        slot.finished = true;
-                    }
-                }
-                Err(TrySendError::Full(item)) => slot.pending = Some(item),
-                Err(TrySendError::Disconnected(_)) => slot.finished = true,
-            }
-        }
-        if open == 0 {
-            break;
-        }
-        if !progress {
-            // Every window is full (the merge loop is behind) — yield
-            // rather than spin so single-core hosts are not starved.
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// The merge loop and all shared simulated state.
+/// The scheduler loop and all simulated state.
 struct Engine<'e, S: SinkPort> {
     cfg: &'e SimConfig,
     threads: Vec<ThreadCtx>,
@@ -419,7 +261,7 @@ struct Engine<'e, S: SinkPort> {
     /// instead of probing every controller.
     active: u64,
     sink: S,
-    /// Retired programs whose slot buffers the serial feed lowers into, so
+    /// Retired programs whose slot buffers new sections lower into, so
     /// steady-state section lowering allocates nothing. Capped at the
     /// thread count (the most programs ever live at once).
     pool: Vec<AccessProgram>,
@@ -473,7 +315,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
     }
 
-    fn run(&mut self, feed: &mut Feed<'_, '_>) {
+    fn run(&mut self, workload: &mut dyn Workload, resolver: &Resolver) {
         'scan: loop {
             self.steps += 1;
             assert!(
@@ -560,7 +402,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
 
             self.threads[i].clock = ready;
             self.local_only = true;
-            self.step(i, feed);
+            self.step(i, workload, resolver);
 
             // Same-thread fast path: keep stepping `i` without a rescan as
             // long as (a) the step changed nothing outside thread `i` and
@@ -592,7 +434,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                     "engine exceeded max_steps"
                 );
                 self.local_only = true;
-                self.step(i, feed);
+                self.step(i, workload, resolver);
             }
         }
     }
@@ -634,7 +476,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
     }
 
     /// Executes one scheduling step for thread `i`.
-    fn step(&mut self, i: usize, feed: &mut Feed<'_, '_>) {
+    fn step(&mut self, i: usize, workload: &mut dyn Workload, resolver: &Resolver) {
         match self.threads[i].mode {
             Mode::Done | Mode::AtBarrier => unreachable!("parked threads never step"),
             Mode::Idle => {
@@ -644,10 +486,13 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                         at: self.threads[i].clock,
                     });
                 }
-                match feed.next(i, self.pool.pop()) {
-                    Resolved::Done => self.threads[i].mode = Mode::Done,
-                    Resolved::Barrier => self.threads[i].mode = Mode::AtBarrier,
-                    Resolved::Program(p) => {
+                let Some(section) = workload.next_section(ThreadId(i as u32)) else {
+                    self.threads[i].mode = Mode::Done;
+                    return;
+                };
+                match resolver.resolve_into(section, self.pool.pop().unwrap_or_default()) {
+                    None => self.threads[i].mode = Mode::AtBarrier,
+                    Some(p) => {
                         let tx = p.is_tx();
                         self.threads[i].prog = Some(p);
                         if tx {

@@ -6,7 +6,7 @@
 //! into per-thread section streams (transactions between `TxBegin`/`TxEnd`,
 //! non-transactional stretches elsewhere, a barrier between rounds). That
 //! makes every randomly generated analysis module a complete simulator
-//! workload, which is what the serial-vs-lane differential fuzzer needs:
+//! workload, which is what the hint-soundness fuzzer needs:
 //! fresh access programs with loops, branches, calls, memcpys and
 //! escape-eligible safe sites, far outside the shapes the suite exercises.
 //!
@@ -444,7 +444,7 @@ impl Workload for IrExec {
         }
 
         // Generate every thread's stream up front, in thread order; the
-        // engine then just pops sections (generation is thread-local).
+        // engine then just pops sections.
         self.queues = (0..self.threads).map(|_| VecDeque::new()).collect();
         for r in 0..self.rounds {
             for t in 0..self.threads {
@@ -484,12 +484,6 @@ impl Workload for IrExec {
 
     fn static_safe_sites(&self) -> HashSet<SiteId> {
         self.safe.clone()
-    }
-
-    fn generation_is_thread_local(&self) -> bool {
-        // Streams are fully precomputed at reset; `next_section` only pops
-        // from the per-thread queue.
-        true
     }
 }
 

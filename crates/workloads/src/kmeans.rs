@@ -114,12 +114,6 @@ impl Workload for Kmeans {
         self.threads
     }
 
-    fn generation_is_thread_local(&self) -> bool {
-        // `next_section(t)` reads only `rngs[t]` and `remaining[t]`: safe
-        // for the engine's parallel lane generation.
-        true
-    }
-
     fn set_alloc_config(&mut self, cfg: AllocConfig) {
         self.alloc = cfg;
     }

@@ -175,14 +175,6 @@ impl Workload for Labyrinth {
         self.threads
     }
 
-    fn generation_is_thread_local(&self) -> bool {
-        // `next_section(t)` consults only `rngs[t]`, `remaining[t]`,
-        // `route_pending[t]`, `warmed_up[t]`, and `grids[t]` plus the
-        // immutable layout: safe for the engine's parallel lane
-        // generation.
-        true
-    }
-
     fn set_alloc_config(&mut self, cfg: AllocConfig) {
         self.alloc = cfg;
     }

@@ -1,41 +1,43 @@
-//! Serial-vs-lane differential fuzzer.
+//! Hint-soundness fuzzer over random IR modules.
 //!
-//! The engine runs a workload either serially — the merge loop generates
-//! each section and lowers it into the buffer of a retired program — or on
-//! host lanes (`--sim-threads`), where lane workers generate and lower
-//! sections ahead of execution into fresh buffers and the merge loop
-//! replays them in canonical core order. The contract this test enforces:
-//! **for any module, every observable output is bit-identical at 1 and 4
-//! lanes** — the full FNV-64 trace digest (every lifecycle event, access,
-//! eviction, shootdown, barrier epoch in scheduling order) and the
-//! complete `RunStats` fingerprint. The blessed digest table covers only
-//! the ten suite workloads; this covers arbitrary ones.
+//! A safe hint lets the HTM skip tracking an access, so a hint is sound
+//! only if the access never races (§IV-A). `hintm audit` checks the ten
+//! suite workloads' hints; this test checks the static classifier on
+//! arbitrary modules. It feeds 256 seeded random IR modules (the
+//! footprint property suite's generator, extended with geps, branches,
+//! pointer stores and calls) through [`hintm_workloads::IrExec`], which
+//! runs any module as a deterministic workload. Each case runs under a
+//! rotating HTM model × hint mode, and a slice of cases is also
+//! escape-encoded, so the lowering's suspend/resume folding is exercised.
+//! Every case must satisfy two properties:
 //!
-//! The fuzzer feeds ≥256 seeded random IR modules (the footprint property
-//! suite's generator, extended with geps, branches, pointer stores and
-//! calls) through [`hintm_workloads::IrExec`], which turns an arbitrary
-//! module into a deterministic workload with thread-local generation, so
-//! the lane engine engages. Each case runs across a rotating HTM model ×
-//! hint mode, with a slice of cases additionally escape-encoded so the
-//! lowering's suspend/resume folding is exercised.
+//! * **soundness**: the dynamic sharing oracle
+//!   ([`hintm_audit::OracleRecorder`]) observes the run and finds no
+//!   racing access at any site [`hintm_ir::classify`] declared safe;
+//! * **sink passivity**: [`Simulator::run`] and
+//!   [`Simulator::run_with_sink`] with a [`DigestSink`] return identical
+//!   `RunStats`.
 //!
-//! On a mismatch the failing module is shrunk by greedily dropping
-//! statements from its functions while the divergence reproduces, then
-//! pretty-printed, so the report is a minimal reproducer rather than a
-//! 40-statement haystack.
+//! A teeth check guards the oracle itself: with every site declared safe
+//! it must flag some cases, or the soundness check could pass vacuously.
+//!
+//! On a failure the module is shrunk by greedily dropping statements from
+//! its functions while the failure reproduces, then pretty-printed, so the
+//! report is a minimal reproducer rather than a 40-statement haystack.
 
 use hintm::HtmKind;
-use hintm_ir::{print_module, Module, ModuleBuilder};
+use hintm_audit::OracleRecorder;
+use hintm_ir::{classify, print_module, Module, ModuleBuilder};
 use hintm_sim::{EscapeEncoded, HintMode, SimConfig, Simulator, Workload};
 use hintm_trace::DigestSink;
-use hintm_types::config::AbortKind;
 use hintm_types::rng::SmallRng;
+use hintm_types::SiteId;
 use hintm_workloads::IrExec;
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
 
 const CASES: usize = 256;
-/// Lane counts compared: the serial feed against the lane engine.
-const LANES: [usize; 2] = [1, 4];
+/// Seed of every simulated run.
+const SEED: u64 = 42;
 const MODELS: [HtmKind; 8] = [
     HtmKind::P8,
     HtmKind::P8S,
@@ -151,69 +153,46 @@ fn workload(module: &Module, case: usize) -> Box<dyn Workload> {
     }
 }
 
-fn fingerprint(module: &Module, case: usize, lanes: usize) -> (u64, String) {
-    let mut w = workload(module, case);
-    let mut sink = DigestSink::new();
-    let stats =
-        Simulator::new(config(case).sim_threads(lanes)).run_with_sink(w.as_mut(), 42, &mut sink);
-    (sink.digest(), format!("{stats:?}"))
+/// Runs `module` as case `case` under the sharing oracle.
+fn observe(module: &Module, case: usize) -> OracleRecorder {
+    let mut oracle = OracleRecorder::new();
+    Simulator::new(config(case)).run_with_sink(workload(module, case).as_mut(), SEED, &mut oracle);
+    oracle
 }
 
-/// Runs `module` serially and on lanes; `Some(description)` if any
-/// observable output differs.
-fn mismatch(module: &Module, case: usize) -> Option<String> {
-    let [serial, laned] = LANES;
-    let (ds, ss) = fingerprint(module, case, serial);
-    let (dl, sl) = fingerprint(module, case, laned);
-    if ds != dl {
+/// Every access site of `module` (sites are dense `0..num_sites`).
+fn every_site(module: &Module) -> BTreeSet<SiteId> {
+    (0..module.num_sites).map(SiteId).collect()
+}
+
+/// Runs `module` as case `case`; `Some(description)` if a site the
+/// classifier declared safe races, or a digest sink changes the stats.
+fn failure(module: &Module, case: usize) -> Option<String> {
+    let sim = Simulator::new(config(case));
+    let plain = sim.run(workload(module, case).as_mut(), SEED);
+    let traced = sim.run_with_sink(
+        workload(module, case).as_mut(),
+        SEED,
+        &mut DigestSink::new(),
+    );
+    let (plain, traced) = (format!("{plain:?}"), format!("{traced:?}"));
+    if plain != traced {
         return Some(format!(
-            "trace digest {ds:016x} ({serial} lane) != {dl:016x} ({laned} lanes)"
+            "RunStats diverged under a DigestSink:\n  run:           {plain}\n  \
+             run_with_sink: {traced}"
         ));
     }
-    if ss != sl {
-        return Some(format!(
-            "RunStats diverged:\n  {serial} lane:  {ss}\n  {laned} lanes: {sl}"
-        ));
+    let unsound = observe(module, case)
+        .evaluate(classify(module).safe_sites())
+        .unsound;
+    if !unsound.is_empty() {
+        return Some(format!("unsound safe hints: {unsound:?}"));
     }
     None
 }
 
-/// Per-model abort-kind histograms for a (usually minimized) module: the
-/// module is re-run serially under every HTM model at the failing case's
-/// hint mode, and each model's abort counts are tabulated by
-/// [`AbortKind`]. Attached to the minimal-reproducer report so a
-/// divergence can be read against how each capacity model actually aborts
-/// on the same access stream — a lane bug that only shows under one model
-/// usually correlates with that model's abort column.
-fn abort_histograms(module: &Module, case: usize) -> String {
-    let mut out = String::from("per-model abort-kind histogram (serial):\n");
-    writeln!(
-        out,
-        "  {:>8}  {:>8} {:>8} {:>14} {:>9} {:>13}",
-        "model", "conflict", "capacity", "false-conflict", "page-mode", "fallback-lock"
-    )
-    .unwrap();
-    for &m in &MODELS {
-        let mut w = workload(module, case);
-        let cfg = SimConfig::with_htm(m).hint_mode(HINTS[case % HINTS.len()]);
-        let stats = Simulator::new(cfg).run(w.as_mut(), 42);
-        write!(out, "  {:>8}", m.to_string()).unwrap();
-        writeln!(
-            out,
-            "  {:>8} {:>8} {:>14} {:>9} {:>13}",
-            stats.aborts_of(AbortKind::Conflict),
-            stats.aborts_of(AbortKind::Capacity),
-            stats.aborts_of(AbortKind::FalseConflict),
-            stats.aborts_of(AbortKind::PageMode),
-            stats.aborts_of(AbortKind::FallbackLock),
-        )
-        .unwrap();
-    }
-    out
-}
-
 /// Greedy structural shrink: repeatedly drop one top-level statement from
-/// any function while the divergence still reproduces.
+/// any function while the failure still reproduces.
 fn shrink(mut module: Module, case: usize) -> Module {
     loop {
         let mut shrunk = false;
@@ -221,7 +200,7 @@ fn shrink(mut module: Module, case: usize) -> Module {
             for i in 0..module.funcs[f].body.len() {
                 let mut candidate = module.clone();
                 candidate.funcs[f].body.remove(i);
-                if mismatch(&candidate, case).is_some() {
+                if failure(&candidate, case).is_some() {
                     module = candidate;
                     shrunk = true;
                     break 'search;
@@ -235,20 +214,31 @@ fn shrink(mut module: Module, case: usize) -> Module {
 }
 
 #[test]
-fn random_modules_execute_identically_at_every_lane_count() {
+fn classifier_hints_are_sound_on_random_modules() {
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
+    let mut flagged_when_all_safe = 0;
     for case in 0..CASES {
         let module = rand_module(&mut rng);
-        if let Some(why) = mismatch(&module, case) {
+        if let Some(why) = failure(&module, case) {
             let minimal = shrink(module, case);
+            let why = failure(&minimal, case).unwrap_or(why);
             panic!(
-                "case {case} ({:?} x {:?}): the lane engine diverged from the \
-                 serial run: {why}\nminimized reproducer:\n{}\n{}",
+                "case {case} ({:?} x {:?}): {why}\nminimized reproducer:\n{}",
                 MODELS[case % MODELS.len()],
                 HINTS[case % HINTS.len()],
                 print_module(&minimal, None),
-                abort_histograms(&minimal, case),
             );
         }
+        let all = observe(&module, case).evaluate(&every_site(&module));
+        if !all.unsound.is_empty() {
+            flagged_when_all_safe += 1;
+        }
     }
+    // Teeth: the generator does produce racing sites, and the oracle sees
+    // them once they are declared safe.
+    assert!(
+        flagged_when_all_safe > 0,
+        "declaring every site safe flagged none of {CASES} cases: the \
+         soundness check above would pass vacuously"
+    );
 }

@@ -18,10 +18,6 @@
 //! actual digests, not a bare assert, so a regression report names exactly
 //! which models drifted.
 //!
-//! The same table also locks the parallel lane engine: every fingerprint
-//! is re-taken at `--sim-threads` 2 and 4 and must match the serial run
-//! bit-for-bit (see [`LANE_COUNTS`]).
-//!
 //! The table was taken from an engine that interpreted flat resolved ops;
 //! today's engine executes packed access programs instead, so the table is
 //! also what keeps the lowering honest — not even one abort or one eviction
@@ -52,22 +48,15 @@ const MODELS: [HtmKind; 8] = [
 // this test.
 include!("golden/digest_table.inc");
 
-/// Host lane counts every fingerprint must be invariant under: the lane
-/// engine (`--sim-threads`) shards section *generation* across host
-/// threads but merges execution in canonical core order, so the trace
-/// and stats must be bit-identical at every count.
-const LANE_COUNTS: [usize; 2] = [2, 4];
-
 /// Runs `workload` under `htm` with a pure digest sink and returns
 /// `(trace_digest, stats_fingerprint)`. The stats fingerprint hashes the
 /// canonical JSON of the whole `RunReport`, so *any* drift in `RunStats`
 /// (cycles, aborts, cache/VM counters, censuses) changes it.
-fn fingerprint(workload: &str, htm: HtmKind, lanes: usize) -> (u64, u64) {
+fn fingerprint(workload: &str, htm: HtmKind) -> (u64, u64) {
     let mut sink = DigestSink::new();
     let report = Experiment::new(workload)
         .htm(htm)
         .seed(SEED)
-        .sim_threads(lanes)
         .run_with_sink(&mut sink)
         .expect("registered workload");
     let stats_fp = Fnv64::hash(report.to_json().as_bytes());
@@ -82,27 +71,11 @@ fn blessed_row(workload: &str) -> Option<&'static [(u64, u64); 8]> {
 }
 
 fn check(workload: &str) {
-    let got: Vec<(u64, u64)> = MODELS
-        .iter()
-        .map(|&m| fingerprint(workload, m, 1))
-        .collect();
+    let got: Vec<(u64, u64)> = MODELS.iter().map(|&m| fingerprint(workload, m)).collect();
 
     if std::env::var_os("HINTM_BLESS").is_some_and(|v| v == "1") {
         bless(workload, &got);
         return;
-    }
-
-    // Lane invariance: the sharded engine must reproduce the serial
-    // fingerprints exactly, per model, at every lane count.
-    for lanes in LANE_COUNTS {
-        for (i, &m) in MODELS.iter().enumerate() {
-            let sharded = fingerprint(workload, m, lanes);
-            assert_eq!(
-                sharded, got[i],
-                "{workload} x {m}: output at --sim-threads {lanes} diverged \
-                 from the serial run (seed {SEED})"
-            );
-        }
     }
 
     let want = blessed_row(workload).unwrap_or_else(|| {

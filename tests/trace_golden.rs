@@ -21,12 +21,8 @@ use std::path::PathBuf;
 /// Events quoted verbatim at the top of each snapshot.
 const HEAD: usize = 40;
 
-fn render(name: &str, lanes: usize) -> String {
-    let (r, rec) = Experiment::new(name)
-        .seed(42)
-        .sim_threads(lanes)
-        .run_traced(1 << 22)
-        .unwrap();
+fn render(name: &str) -> String {
+    let (r, rec) = Experiment::new(name).seed(42).run_traced(1 << 22).unwrap();
     assert_eq!(rec.dropped(), 0, "{name}: raise the trace capacity");
     let t = r.trace.expect("traced run carries a summary");
     let mut out = String::new();
@@ -60,7 +56,7 @@ fn render(name: &str, lanes: usize) -> String {
 }
 
 fn check(name: &str) {
-    let got = render(name, 1);
+    let got = render(name);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{name}.trace.txt"));
@@ -79,14 +75,6 @@ fn check(name: &str) {
         got, want,
         "{name}: trace drifted from the golden snapshot; if the change is \
          intentional, bless it with HINTM_BLESS=1"
-    );
-    // The sharded engine merges lanes in canonical core order, so the
-    // rendered stream must stay byte-identical at `--sim-threads 4`.
-    let sharded = render(name, 4);
-    assert_eq!(
-        sharded, want,
-        "{name}: trace at --sim-threads 4 diverged from the serial golden \
-         snapshot"
     );
 }
 
