@@ -54,9 +54,6 @@ pub enum Command {
     Trace(TraceArgs),
     /// Run a parallel sweep (dispatched by the `hintm-runner` binary).
     Sweep(SweepArgs),
-    /// Time the pinned workload×model grid and compare against the newest
-    /// committed baseline (dispatched by the `hintm-runner` binary).
-    Perf(PerfArgs),
     /// Clear the on-disk result cache (dispatched by `hintm-serve`).
     CacheClear {
         /// Cache directory override.
@@ -203,42 +200,6 @@ pub struct SweepArgs {
     pub trace: bool,
 }
 
-/// Options for `hintm perf`. Parsing lives here with the other commands;
-/// execution lives in the `hintm-runner` crate, so [`execute`] rejects it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfArgs {
-    /// Use the 5-cell smoke grid instead of the full pinned grid.
-    pub smoke: bool,
-    /// Timed repetitions per cell. The slowest repetition is dropped as
-    /// noise when `repeat >= 3`, then the median of the rest is reported.
-    pub repeat: usize,
-    /// Untimed warmup runs per cell.
-    pub warmup: usize,
-    /// Directory holding `BENCH_*.json` files (read and written).
-    pub out: Option<String>,
-    /// Explicit baseline file (default: newest `BENCH_*.json` in `out`).
-    pub baseline: Option<String>,
-    /// Regression threshold as a fraction (overrides
-    /// `HINTM_PERF_THRESHOLD`; default 0.25 = fail when >25% slower).
-    pub threshold: Option<f64>,
-    /// Measure and write the snapshot without comparing to a baseline.
-    pub no_compare: bool,
-}
-
-impl Default for PerfArgs {
-    fn default() -> Self {
-        PerfArgs {
-            smoke: false,
-            repeat: 5,
-            warmup: 1,
-            out: None,
-            baseline: None,
-            threshold: None,
-            no_compare: false,
-        }
-    }
-}
-
 /// Options shared by `run` and `suite`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunArgs {
@@ -263,7 +224,6 @@ USAGE:
   hintm analyze [<workload>] [analyze options]
   hintm trace <workload> [options] [trace options]
   hintm sweep [sweep options]
-  hintm perf [perf options]
   hintm serve [serve options]
   hintm cache clear [--cache-dir <dir>]
   hintm cache stats [--cache-dir <dir>]
@@ -340,20 +300,6 @@ the result cache across workers and repeat submissions):
   --cache-dir <dir>        cache location      [$HINTM_CACHE_DIR or .hintm-cache]
   --join <host:port>       join the daemon at host:port as a worker process:
                            claim cells over HTTP, run them, post reports back
-
-PERF OPTIONS (times the pinned grid, writes BENCH_<date>.json, and fails
-when the median events/sec regresses past the threshold):
-  --smoke                  5-cell smoke grid instead of the full 25-cell grid
-  --repeat <n>             timed repetitions per cell; with --repeat >= 3 the
-                           slowest repetition is dropped as noise and the
-                           median of the rest is reported (at 1-2 reps every
-                           sample counts, so the median is over all of them) [5]
-  --warmup <n>             untimed warmup runs per cell                    [1]
-  --out <dir>              directory for BENCH_*.json snapshots            [.]
-  --baseline <file>        explicit baseline   [newest BENCH_*.json in --out]
-  --threshold <f>          failure threshold as a fraction
-                           [$HINTM_PERF_THRESHOLD or 0.25]
-  --no-compare             measure and write the snapshot only
 ";
 
 /// A scale's canonical name (its `Display` form).
@@ -378,7 +324,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "analyze" => parse_analyze(&args[1..]),
         "trace" => parse_trace(&args[1..]),
         "sweep" => parse_sweep(&args[1..]),
-        "perf" => parse_perf(&args[1..]),
         "cache" => parse_cache(&args[1..]),
         "serve" => parse_serve(&args[1..]),
         "run" | "suite" => {
@@ -593,36 +538,6 @@ fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
     Ok(Command::Sweep(sa))
 }
 
-fn parse_perf(args: &[String]) -> Result<Command, CliError> {
-    let mut pa = PerfArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => pa.smoke = true,
-            "--repeat" => pa.repeat = parsed(args, &mut i)?,
-            "--warmup" => pa.warmup = parsed(args, &mut i)?,
-            "--out" => pa.out = Some(value(args, &mut i)?),
-            "--baseline" => pa.baseline = Some(value(args, &mut i)?),
-            "--threshold" => {
-                let t: f64 = parsed(args, &mut i)?;
-                if !(0.0..1.0).contains(&t) {
-                    return Err(CliError(format!(
-                        "--threshold must be a fraction in [0, 1), got `{t}`"
-                    )));
-                }
-                pa.threshold = Some(t);
-            }
-            "--no-compare" => pa.no_compare = true,
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
-        }
-        i += 1;
-    }
-    if pa.repeat == 0 {
-        return Err(CliError("--repeat must be at least 1".into()));
-    }
-    Ok(Command::Perf(pa))
-}
-
 fn parse_cache(args: &[String]) -> Result<Command, CliError> {
     match args.first().map(String::as_str) {
         Some(action @ ("clear" | "stats")) => {
@@ -825,11 +740,10 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<(), CliEr
     let io = |e: std::io::Error| CliError(e.to_string());
     match cmd {
         Command::Sweep(_)
-        | Command::Perf(_)
         | Command::Serve(_)
         | Command::CacheClear { .. }
         | Command::CacheStats { .. } => Err(CliError(
-            "`sweep`, `perf`, `serve`, and `cache` are handled by the hintm binary from \
+            "`sweep`, `serve`, and `cache` are handled by the hintm binary from \
              the hintm-serve crate"
                 .into(),
         )),
@@ -1040,6 +954,8 @@ mod tests {
         assert!(parse(&argv("run --workload x --hints weird")).is_err());
         assert!(parse(&argv("run --workload x --seed nope")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
+        // The benchmark package, not a subcommand, times the engine.
+        assert!(parse(&argv("perf")).is_err());
         assert!(parse(&argv("run --workload")).is_err());
         // There is one execution tier; its old selector is an unknown flag.
         assert!(parse(&argv("run --workload x --exec compiled")).is_err());
@@ -1380,40 +1296,6 @@ mod tests {
         assert!(parse(&argv("sweep --frobnicate")).is_err());
         assert!(parse(&argv("sweep --no-cache --resume")).is_err());
         assert!(parse(&argv("sweep --exec compiled")).is_err());
-    }
-
-    #[test]
-    fn parses_perf_command() {
-        assert_eq!(
-            parse(&argv("perf")).unwrap(),
-            Command::Perf(PerfArgs::default())
-        );
-        let Command::Perf(pa) = parse(&argv(
-            "perf --smoke --repeat 3 --warmup 0 --out bench --baseline BENCH_x.json \
-             --threshold 0.1 --no-compare",
-        ))
-        .unwrap() else {
-            panic!("expected perf")
-        };
-        assert!(pa.smoke && pa.no_compare);
-        assert_eq!(pa.repeat, 3);
-        assert_eq!(pa.warmup, 0);
-        assert_eq!(pa.out.as_deref(), Some("bench"));
-        assert_eq!(pa.baseline.as_deref(), Some("BENCH_x.json"));
-        assert_eq!(pa.threshold, Some(0.1));
-    }
-
-    #[test]
-    fn perf_rejects_bad_input() {
-        assert!(parse(&argv("perf --repeat 0")).is_err());
-        assert!(parse(&argv("perf --threads 2")).is_err());
-        assert!(parse(&argv("perf --repeat nope")).is_err());
-        assert!(parse(&argv("perf --threshold 1.5")).is_err());
-        assert!(parse(&argv("perf --threshold -0.1")).is_err());
-        assert!(parse(&argv("perf --frobnicate")).is_err());
-        assert!(parse(&argv("perf --exec compiled")).is_err());
-        let mut buf = Vec::new();
-        assert!(execute(&Command::Perf(PerfArgs::default()), &mut buf).is_err());
     }
 
     #[test]

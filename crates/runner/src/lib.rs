@@ -44,7 +44,6 @@
 mod artifacts;
 mod cache;
 mod exec;
-pub mod perf;
 
 pub use artifacts::{results_csv, results_json, write_artifacts, write_trace};
 pub use cache::{Cache, CacheStats, WorkloadCacheStats, SCHEMA_VERSION};

@@ -236,7 +236,6 @@ fn main() -> ExitCode {
     };
     let result = match &cmd {
         Command::Sweep(sa) => run_sweep(sa),
-        Command::Perf(pa) => hintm_runner::perf::run_perf(pa),
         Command::CacheClear { dir } => clear_cache(dir.as_deref()),
         Command::CacheStats { dir } => cache_stats(dir.as_deref()),
         Command::Serve(sa) => serve(sa),

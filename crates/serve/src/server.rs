@@ -38,6 +38,11 @@ use crate::queue::{Claim, ClaimPoll, JobQueue};
 /// changed entries (see [`Cache::stats`]).
 const HANDLER_THREADS: usize = 4;
 
+/// Read and write timeout on every accepted connection. Without it a
+/// client that connects and sends nothing holds a handler thread
+/// forever, and [`HANDLER_THREADS`] such clients wedge the whole API.
+const IO_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// How long the listener keeps serving after shutdown is requested, so
 /// polling `--join` workers observe the 410 on `/claim` (they poll every
 /// 100 ms) instead of a refused connection.
@@ -188,6 +193,11 @@ fn initiate_shutdown(shared: &Arc<Shared>) {
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let Ok(peer_half) = stream.try_clone() else {
         return;
     };
@@ -197,8 +207,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             shared.requests.fetch_add(1, Ordering::Relaxed);
             route(shared, &req)
         }
-        // The shutdown wake-up connect lands here as UnexpectedEof.
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return,
+        // The shutdown wake-up connect lands here as UnexpectedEof; a
+        // client silent for IO_TIMEOUT as WouldBlock (TimedOut on
+        // Windows). Neither gets an answer.
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            return
+        }
         Err(e) => Response::error(400, e.to_string()),
     };
     let _ = response.write_to(stream);
@@ -479,6 +498,29 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = client_request(&addr, "DELETE", "/stats", b"").unwrap();
         assert_eq!(status, 405);
+        server.stop();
+        server.join();
+    }
+
+    #[test]
+    fn idle_connections_do_not_wedge_the_handlers() {
+        let server = start_test_server(0);
+        let addr = server.addr().to_string();
+        // One silent connection per handler thread, each accepted first.
+        let idle: Vec<TcpStream> = (0..HANDLER_THREADS)
+            .map(|_| TcpStream::connect(&addr).unwrap())
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        let probe_addr = addr.clone();
+        let probe = std::thread::spawn(move || {
+            let _ = tx.send(client_request(&probe_addr, "GET", "/healthz", b""));
+        });
+        let answer = rx
+            .recv_timeout(IO_TIMEOUT + Duration::from_secs(5))
+            .expect("/healthz blocked behind idle connections");
+        assert_eq!(answer.unwrap().0, 200);
+        probe.join().unwrap();
+        drop(idle);
         server.stop();
         server.join();
     }
