@@ -3,13 +3,13 @@
 //! downgrade to `⟨shared,ro⟩` instead of shooting down, trading page-mode
 //! aborts for continued safe reads.
 
-use hintm::{AbortKind, Experiment, HintMode, HtmKind, Scale};
+use hintm::{AbortKind, Cell, HintMode, HtmKind, Scale};
 use hintm_bench::{banner, pct, print_machine, x, SEED};
 
 fn run(name: &str, htm: HtmKind, preserve: bool) -> hintm::RunReport {
-    Experiment::new(name)
+    Cell::new(name)
         .htm(htm)
-        .hint_mode(HintMode::Full)
+        .hint(HintMode::Full)
         .preserve(preserve)
         .scale(Scale::Sim)
         .seed(SEED)

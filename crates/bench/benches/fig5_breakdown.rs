@@ -2,7 +2,7 @@
 //! in-transaction accesses classified compiler-safe, runtime-safe, and
 //! unsafe (collected with HinTM + preserve, as in the paper).
 
-use hintm::{Experiment, HintMode, HtmKind};
+use hintm::{Cell, HintMode, HtmKind};
 use hintm_bench::{banner, pct, print_machine, SEED};
 
 /// The paper omits ssca2 and kmeans from Fig. 5 onward (§VI-C).
@@ -31,9 +31,9 @@ fn main() {
     let mut totals = Vec::new();
     let mut statics = Vec::new();
     for name in SUBSET {
-        let r = Experiment::new(name)
+        let r = Cell::new(name)
             .htm(HtmKind::P8)
-            .hint_mode(HintMode::Full)
+            .hint(HintMode::Full)
             .preserve(true)
             .seed(SEED)
             .run()

@@ -5,7 +5,7 @@
 //! fully-unsafe accesses). The far-right tail beyond 64 blocks is the
 //! population that must capacity-abort on P8.
 
-use hintm::{Experiment, HintMode, HtmKind};
+use hintm::{Cell, HintMode, HtmKind};
 use hintm_bench::{banner, pct, print_machine, SEED};
 use hintm_types::stats_util::{frac_above, percentile};
 
@@ -20,9 +20,9 @@ fn main() {
     print_machine();
 
     for name in PANELS {
-        let r = Experiment::new(name)
+        let r = Cell::new(name)
             .htm(HtmKind::InfCap)
-            .hint_mode(HintMode::Full)
+            .hint(HintMode::Full)
             .record_tx_sizes(true)
             .seed(SEED)
             .run()

@@ -6,7 +6,7 @@
 //! cargo run --release -p hintm-bench --bin abort_profile
 //! ```
 
-use hintm::{AbortKind, Experiment, HtmKind};
+use hintm::{AbortKind, Cell, HtmKind};
 
 fn main() {
     println!(
@@ -14,11 +14,7 @@ fn main() {
         "workload", "txs", "fb", "cap", "conf", "fc", "lock", "cycles"
     );
     for name in hintm::WORKLOAD_NAMES {
-        let r = Experiment::new(name)
-            .htm(HtmKind::P8)
-            .seed(42)
-            .run()
-            .unwrap();
+        let r = Cell::new(name).htm(HtmKind::P8).seed(42).run().unwrap();
         println!(
             "{:<10} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>12}",
             name,

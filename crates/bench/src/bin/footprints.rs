@@ -5,7 +5,7 @@
 //! cargo run --release -p hintm-bench --bin footprints
 //! ```
 
-use hintm::{Experiment, HtmKind};
+use hintm::{Cell, HtmKind};
 use hintm_types::stats_util::{frac_above, percentile};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
         "workload", "txs", "p50", "p90", "p99", "max", ">64blk"
     );
     for name in hintm::WORKLOAD_NAMES {
-        let r = Experiment::new(name)
+        let r = Cell::new(name)
             .htm(HtmKind::InfCap)
             .record_tx_sizes(true)
             .seed(42)

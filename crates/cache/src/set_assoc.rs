@@ -122,11 +122,6 @@ impl SetAssocCache {
         self.ways
     }
 
-    /// Total capacity in blocks.
-    pub fn capacity_blocks(&self) -> usize {
-        self.num_sets * self.ways
-    }
-
     #[inline]
     fn set_index(&self, block: BlockAddr) -> usize {
         (block.index() as usize) & (self.num_sets - 1)

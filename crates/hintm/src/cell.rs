@@ -9,16 +9,18 @@
 //! `hintm run`/`suite`/`trace`/`sweep`, the `POST /sweeps` body
 //! ([`SweepSpec::from_json`]) and the sweep cross product
 //! ([`SweepSpec::cells`]). A new axis is a `Cell` field, its builder, and
-//! one row.
+//! one row. A cell also builds its [`SimConfig`] and runs itself
+//! ([`Cell::run`], [`Cell::run_traced`], [`Cell::run_with_sink`]).
 
 use crate::{
-    Experiment, HintMode, HtmKind, Json, Recording, RunReport, Scale, UnknownWorkload,
-    WORKLOAD_NAMES,
+    by_name, by_name_with_threads, AllocConfig, HintMode, HtmKind, Json, Recording, RunReport,
+    RunStats, Scale, SimConfig, Simulator, TraceSink, UnknownWorkload, Workload, WORKLOAD_NAMES,
 };
 use hintm_mem::HEAP_ARENA_SIZE;
 use std::collections::HashSet;
 
-/// One fully-specified simulator run.
+/// One fully-specified simulator run, configured builder-style (see the
+/// crate-level example).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cell {
     /// Workload name (see `hintm list`).
@@ -185,8 +187,8 @@ fn axis_index(json: &str) -> usize {
 }
 
 impl Cell {
-    /// A cell with the paper's defaults: P8 HTM, no hints, `Scale::Sim`,
-    /// seed 42 (mirrors [`Experiment::new`]).
+    /// A cell for `workload` with the paper's defaults: P8 HTM, no hints,
+    /// `Scale::Sim`, seed 42, packed heap.
     pub fn new(workload: &str) -> Cell {
         Cell {
             workload: workload.to_string(),
@@ -303,7 +305,7 @@ impl Cell {
     ///
     /// Returns a description of the out-of-range override.
     pub fn check(&self) -> Result<(), String> {
-        let hw = self.experiment().sim_config().machine.hw_threads();
+        let hw = self.sim_config().machine.hw_threads();
         match self.threads {
             Some(t) if !(1..=hw).contains(&t) => Err(format!(
                 "threads {t} is out of range: the machine has {hw} hardware threads{}",
@@ -313,13 +315,23 @@ impl Cell {
         }
     }
 
-    /// Builds the equivalent [`Experiment`].
-    pub fn experiment(&self) -> Experiment {
-        Experiment {
-            cell: self.clone(),
-            lrws_limits: None,
-            max_stretches: None,
+    /// The cell itself. Kept only because the repository benchmark
+    /// (`benchmark/`) still spells `cell.experiment().sim_config()`; new
+    /// code calls [`Cell::sim_config`] directly.
+    pub fn experiment(&self) -> &Cell {
+        self
+    }
+
+    /// Builds the [`SimConfig`] this cell runs with.
+    pub fn sim_config(&self) -> SimConfig {
+        let mut cfg = SimConfig::with_htm(self.htm).hint_mode(self.hint);
+        if self.smt2 {
+            cfg = cfg.smt2();
         }
+        cfg.preserve = self.preserve;
+        cfg.record_tx_sizes = self.record_tx_sizes;
+        cfg.profile_sharing = self.profile_sharing;
+        cfg
     }
 
     /// Runs the cell.
@@ -328,18 +340,60 @@ impl Cell {
     ///
     /// Returns [`UnknownWorkload`] if the workload name is not registered.
     pub fn run(&self) -> Result<RunReport, UnknownWorkload> {
-        self.experiment().run()
+        let mut w = self.workload()?;
+        let stats = Simulator::new(self.sim_config()).run(w.as_mut(), self.seed);
+        Ok(self.report(stats))
     }
 
-    /// Runs the cell under a trace recorder retaining up to `events`
-    /// events (metrics and the digest always cover the whole run). The
-    /// report carries the metric summary in [`RunReport::trace`].
+    /// Runs the cell under a [`Recording`] retaining the first `events`
+    /// events verbatim and folding all of them into metrics and the stream
+    /// digest. The report carries the metric summary in
+    /// [`RunReport::trace`]; its [`RunStats`] are bit-identical to an
+    /// untraced run.
     ///
     /// # Errors
     ///
     /// Returns [`UnknownWorkload`] if the workload name is not registered.
     pub fn run_traced(&self, events: usize) -> Result<(RunReport, Recording), UnknownWorkload> {
-        self.experiment().run_traced(events)
+        let mut rec = Recording::new(events);
+        let mut report = self.run_with_sink(&mut rec)?;
+        report.trace = Some(rec.summary());
+        Ok((report, rec))
+    }
+
+    /// Runs the cell delivering every engine event to `sink`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownWorkload`] if the workload name is not registered.
+    pub fn run_with_sink(&self, sink: &mut dyn TraceSink) -> Result<RunReport, UnknownWorkload> {
+        let mut w = self.workload()?;
+        let stats = Simulator::new(self.sim_config()).run_with_sink(w.as_mut(), self.seed, sink);
+        Ok(self.report(stats))
+    }
+
+    /// The workload instance this cell runs, with its heap placement set.
+    fn workload(&self) -> Result<Box<dyn Workload>, UnknownWorkload> {
+        let mut w = match self.threads {
+            Some(t) => by_name_with_threads(&self.workload, self.scale, t),
+            None => by_name(&self.workload, self.scale),
+        }
+        .ok_or_else(|| UnknownWorkload(self.workload.clone()))?;
+        w.set_alloc_config(AllocConfig {
+            color_stride: self.alloc_color,
+            ..AllocConfig::default()
+        });
+        Ok(w)
+    }
+
+    fn report(&self, stats: RunStats) -> RunReport {
+        RunReport {
+            workload: self.workload.clone(),
+            htm: self.htm,
+            hint_mode: self.hint,
+            stats,
+            trace: None,
+        }
     }
 }
 
@@ -732,13 +786,5 @@ mod tests {
             .iter()
             .all(|c| c.htm == HtmKind::P8 && c.hint == HintMode::Off));
         assert!(cells.iter().all(|c| c.seed == 42));
-    }
-
-    #[test]
-    fn cell_runs_like_the_equivalent_experiment() {
-        let cell = Cell::new("ssca2").seed(7);
-        let a = cell.run().unwrap();
-        let b = Experiment::new("ssca2").seed(7).run().unwrap();
-        assert_eq!(a.to_json(), b.to_json());
     }
 }

@@ -12,9 +12,9 @@
 //! # Examples
 //!
 //! ```
-//! use hintm::Experiment;
+//! use hintm::Cell;
 //!
-//! let r = Experiment::new("kmeans").run()?;
+//! let r = Cell::new("kmeans").run()?;
 //! let json = r.to_json();
 //! let back = hintm::RunReport::from_json(&json).unwrap();
 //! assert_eq!(back.to_json(), json);
@@ -784,7 +784,7 @@ pub fn audit_report_to_json(r: &AuditReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Experiment;
+    use crate::Cell;
 
     #[test]
     fn parser_handles_scalars_and_nesting() {
@@ -817,8 +817,8 @@ mod tests {
     fn report_round_trips_bit_identically() {
         // A profiled run exercises the optional `sharing` tuple and the
         // tx-size vectors; full hints exercise the vm counters.
-        let r = Experiment::new("kmeans")
-            .hint_mode(crate::HintMode::Full)
+        let r = Cell::new("kmeans")
+            .hint(crate::HintMode::Full)
             .record_tx_sizes(true)
             .profile_sharing(true)
             .run()
@@ -838,7 +838,7 @@ mod tests {
 
     #[test]
     fn report_without_sharing_round_trips() {
-        let r = Experiment::new("ssca2").run().expect("runs");
+        let r = Cell::new("ssca2").run().expect("runs");
         assert!(r.stats.sharing.is_none());
         let back = RunReport::from_json(&r.to_json()).expect("parses");
         assert_eq!(back.stats.sharing, None);
@@ -847,14 +847,14 @@ mod tests {
 
     #[test]
     fn traced_report_round_trips() {
-        let (r, rec) = Experiment::new("kmeans").run_traced(256).expect("runs");
+        let (r, rec) = Cell::new("kmeans").run_traced(256).expect("runs");
         let t = r.trace.expect("traced run embeds a summary");
         assert_eq!(t.digest, rec.digest());
         let back = RunReport::from_json(&r.to_json()).expect("parses");
         assert_eq!(back.trace, Some(t));
         assert_eq!(back.to_json(), r.to_json());
         // An untraced report omits the field entirely.
-        let plain = Experiment::new("kmeans").run().unwrap();
+        let plain = Cell::new("kmeans").run().unwrap();
         assert!(!plain.to_json().contains("\"trace\""));
         assert!(RunReport::from_json(&plain.to_json())
             .unwrap()

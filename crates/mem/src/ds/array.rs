@@ -57,22 +57,6 @@ impl SimArray {
         }
     }
 
-    /// Allocates a page-aligned array in `tid`'s heap arena (large objects).
-    pub fn new_heap_pages(
-        space: &mut AddressSpace,
-        tid: ThreadId,
-        len: usize,
-        elem_size: u64,
-    ) -> Self {
-        assert!(elem_size > 0, "element size must be positive");
-        let base = space.halloc_pages(tid, len as u64 * elem_size);
-        SimArray {
-            base,
-            elem_size,
-            values: vec![0; len],
-        }
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -79,11 +79,6 @@ impl SimGrid {
         (self.x, self.y, self.z)
     }
 
-    /// Total number of cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Base simulated address.
     pub fn base(&self) -> Addr {
         self.base

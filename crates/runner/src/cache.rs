@@ -26,6 +26,7 @@
 
 use crate::Cell;
 use hintm::{Json, RunReport, WORKLOAD_NAMES};
+use hintm_trace::Fnv64;
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsStr;
 use std::fs;
@@ -39,17 +40,6 @@ use std::time::{Duration, SystemTime};
 /// simulated numbers. Bump it whenever reports change meaning (new stats
 /// fields, simulator behavior changes) to invalidate every prior entry.
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// 64-bit FNV-1a. Collisions are harmless (the stored key is re-checked),
-/// so a small fast non-cryptographic hash is enough.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// How old a file's mtime must be, at a scan's start, before
 /// [`Cache::stats`] trusts a memoized verdict for it. It covers the
@@ -173,11 +163,13 @@ impl Cache {
         &self.dir
     }
 
-    /// The file a cell's result lives at.
+    /// The file a cell's result lives at. Its name is a 64-bit FNV-1a
+    /// hash; collisions are harmless (the stored key is re-checked), so a
+    /// small fast non-cryptographic hash is enough.
     pub fn path_for(&self, cell: &Cell) -> PathBuf {
         let addressed = format!("schema={}|{}", self.schema, cell.key());
         self.dir
-            .join(format!("{:016x}.json", fnv1a(addressed.as_bytes())))
+            .join(format!("{:016x}.json", Fnv64::hash(addressed.as_bytes())))
     }
 
     /// Loads a cell's cached report. Any mismatch — missing file, parse
@@ -446,13 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn store_then_load_is_bit_identical() {
         let dir = tmp("roundtrip");
         let cache = Cache::new(&dir);
@@ -606,7 +591,7 @@ mod tests {
         let addressed = format!("schema={SCHEMA_VERSION}|{}", cell.key());
         assert_eq!(
             content_hash(path.file_stem().unwrap()),
-            Some(fnv1a(addressed.as_bytes()))
+            Some(Fnv64::hash(addressed.as_bytes()))
         );
         assert_eq!(content_hash(OsStr::new("00000000000000ab")), Some(0xab));
         for other in [

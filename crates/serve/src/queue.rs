@@ -368,11 +368,6 @@ impl JobQueue {
         self.state.lock().unwrap().shutdown = true;
         self.cv.notify_all();
     }
-
-    /// Whether shutdown has been signalled.
-    pub fn is_shutdown(&self) -> bool {
-        self.state.lock().unwrap().shutdown
-    }
 }
 
 #[cfg(test)]

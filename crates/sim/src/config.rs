@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use hintm_htm::{HtmConfig, HtmKind};
-use hintm_types::{Cycles, MachineConfig};
+use hintm_types::MachineConfig;
 use std::fmt;
 
 /// Which HinTM classification mechanisms feed safety hints to the HTM.
@@ -59,7 +59,9 @@ impl std::str::FromStr for HintMode {
     }
 }
 
-/// Full configuration of one simulation run.
+/// Full configuration of one simulation run. The engine's fixed §V
+/// costs (transaction begin/commit, abort penalty, retry backoff, LogTM
+/// unroll, PStretch stretch) are constants in `engine.rs`.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Machine parameters (Table II).
@@ -70,26 +72,10 @@ pub struct SimConfig {
     pub hint_mode: HintMode,
     /// Enable the §VI-B preserve optimization in the VM.
     pub preserve: bool,
-    /// Fixed cost of a `tbegin`/`tend` instruction pair half.
-    pub tx_begin_cost: Cycles,
-    /// Fixed cost of a commit.
-    pub tx_commit_cost: Cycles,
-    /// Fixed abort handling cost (register restore + handler dispatch).
-    pub abort_penalty: Cycles,
-    /// Base backoff after an abort; doubles per consecutive retry.
-    pub backoff_base: Cycles,
-    /// LogTM: per-overflowed-block log-unroll cost charged on abort.
-    pub log_unroll_cost: Cycles,
-    /// PStretch: cost of one capacity-stretch suspend/resume round trip,
-    /// charged to the stretching thread's clock when the tracker sheds its
-    /// read-only entries.
-    pub stretch_cost: Cycles,
     /// Record per-committed-TX footprints (Fig. 6 CDFs).
     pub record_tx_sizes: bool,
     /// Feed every access to the sharing profiler (Fig. 1 metrics).
     pub profile_sharing: bool,
-    /// Safety valve: abort the run after this many engine steps.
-    pub max_steps: u64,
 }
 
 impl Default for SimConfig {
@@ -99,15 +85,8 @@ impl Default for SimConfig {
             htm: HtmConfig::new(HtmKind::P8),
             hint_mode: HintMode::Off,
             preserve: false,
-            tx_begin_cost: Cycles(5),
-            tx_commit_cost: Cycles(10),
-            abort_penalty: Cycles(150),
-            backoff_base: Cycles(100),
-            log_unroll_cost: Cycles(20),
-            stretch_cost: Cycles(40),
             record_tx_sizes: false,
             profile_sharing: false,
-            max_steps: 2_000_000_000,
         }
     }
 }

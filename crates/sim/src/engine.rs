@@ -43,6 +43,24 @@ use hintm_types::{
 use hintm_vm::{SharingProfiler, VmSystem};
 use std::collections::HashSet;
 
+/// Fixed cost of a `tbegin`.
+const TX_BEGIN_COST: Cycles = Cycles(5);
+/// Fixed cost of a commit.
+const TX_COMMIT_COST: Cycles = Cycles(10);
+/// Fixed abort handling cost (register restore + handler dispatch).
+const ABORT_PENALTY: Cycles = Cycles(150);
+/// Base backoff after an abort; doubles per consecutive retry.
+const BACKOFF_BASE: Cycles = Cycles(100);
+/// LogTM: per-overflowed-block log-unroll cost charged on abort.
+const LOG_UNROLL_COST: Cycles = Cycles(20);
+/// PStretch: cost of one capacity-stretch suspend/resume round trip,
+/// charged to the stretching thread's clock when the tracker sheds its
+/// read-only entries.
+const STRETCH_COST: Cycles = Cycles(40);
+/// Safety valve: a run taking more engine steps than this is a runaway
+/// workload and panics.
+const MAX_STEPS: u64 = 2_000_000_000;
+
 /// What a hardware thread is doing. The section payload lives in
 /// [`ThreadCtx::prog`]; keeping the discriminant `Copy` makes the
 /// scheduler scan touch no refcounts.
@@ -171,7 +189,7 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the engine exceeds `max_steps` (runaway workload) or the
+    /// Panics if the engine exceeds `MAX_STEPS` (runaway workload) or the
     /// thread states deadlock (malformed workload).
     pub fn run(&self, workload: &mut dyn Workload, seed: u64) -> RunStats {
         self.run_inner(workload, seed, None)
@@ -318,10 +336,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
     fn run(&mut self, workload: &mut dyn Workload, resolver: &Resolver) {
         'scan: loop {
             self.steps += 1;
-            assert!(
-                self.steps <= self.cfg.max_steps,
-                "engine exceeded max_steps"
-            );
+            assert!(self.steps <= MAX_STEPS, "engine exceeded MAX_STEPS");
 
             // Full scan: the runnable thread with the smallest ready time
             // (first-seen wins ties, i.e. lowest index), plus the runner-up
@@ -429,10 +444,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                 }
                 self.threads[i].clock = ready;
                 self.steps += 1;
-                assert!(
-                    self.steps <= self.cfg.max_steps,
-                    "engine exceeded max_steps"
-                );
+                assert!(self.steps <= MAX_STEPS, "engine exceeded MAX_STEPS");
                 self.local_only = true;
                 self.step(i, workload, resolver);
             }
@@ -576,7 +588,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                 if pos >= prog.len() {
                     // Commit. Footprint/set sizes/retries must be captured
                     // before `commit()` clears the tracker.
-                    self.threads[i].clock += self.cfg.tx_commit_cost;
+                    self.threads[i].clock += TX_COMMIT_COST;
                     if S::ENABLED {
                         self.sink.emit(TraceEvent::TxCommit {
                             thread: ThreadId(i as u32),
@@ -622,8 +634,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             self.threads[i].mode = Mode::WaitLockHtm;
             return;
         }
-        self.threads[i].clock =
-            self.threads[i].clock.max(self.lock_free_at) + self.cfg.tx_begin_cost;
+        self.threads[i].clock = self.threads[i].clock.max(self.lock_free_at) + TX_BEGIN_COST;
         let now = self.threads[i].clock;
         if S::ENABLED {
             self.sink.emit(TraceEvent::TxBegin {
@@ -673,7 +684,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             self.mem.discard_local(core, b);
         }
         // LogTM-style eager versioning pays a log unroll per spilled block.
-        let unroll = self.threads[j].htm.overflowed_blocks() * self.cfg.log_unroll_cost.raw();
+        let unroll = self.threads[j].htm.overflowed_blocks() * LOG_UNROLL_COST.raw();
         self.threads[j].htm.abort(kind);
         self.active &= !(1 << j);
         if S::ENABLED {
@@ -686,7 +697,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                 retries: self.threads[j].htm.retries(),
             });
         }
-        self.threads[j].clock += self.cfg.abort_penalty + unroll;
+        self.threads[j].clock += ABORT_PENALTY + unroll;
         self.threads[j].touched_safe_pages.clear();
 
         debug_assert!(
@@ -704,7 +715,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             self.threads[j].mode = Mode::WaitLockFallback;
         } else {
             let backoff =
-                (self.cfg.backoff_base.raw() << (retries.min(6).saturating_sub(1))) + 37 * j as u64; // deterministic per-thread jitter
+                (BACKOFF_BASE.raw() << (retries.min(6).saturating_sub(1))) + 37 * j as u64; // deterministic per-thread jitter
             self.threads[j].mode = Mode::WaitRetry;
             self.threads[j].resume_at = self.threads[j].clock + backoff;
         }
@@ -957,7 +968,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                 // charge it to the stretching thread's clock.
                 let t = &mut self.threads[i];
                 let stretched = t.htm.stretch_events() - pre_stretches;
-                t.clock += Cycles(stretched * self.cfg.stretch_cost.raw());
+                t.clock += Cycles(stretched * STRETCH_COST.raw());
             }
         }
         StepOutcome::Continue

@@ -56,11 +56,6 @@ impl RunStats {
         self.aborts[kind_index(kind)]
     }
 
-    /// Wasted cycles for one abort kind.
-    pub fn wasted_of(&self, kind: AbortKind) -> u64 {
-        self.wasted_cycles[kind_index(kind)]
-    }
-
     /// Fraction of aggregate cycles spent on page-mode abort actions.
     pub fn page_mode_fraction(&self) -> f64 {
         if self.sum_cycles.raw() == 0 {

@@ -1,32 +1,16 @@
-//! A bounded event log with keep-first or ring retention, plus the text
-//! timeline renderer.
+//! A bounded keep-first event log, plus the text timeline renderer.
 
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;
 use hintm_types::AbortKind;
 
-/// How a full [`TraceBuffer`] treats new events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Retention {
-    /// Oldest events win; the tail is dropped (debugging run prefixes).
-    KeepFirst,
-    /// Newest events win; the head is overwritten (post-mortem tails).
-    Ring,
-}
-
-/// A bounded in-memory event log.
-///
-/// `keep_first` retention preserves a run's prefix (golden snapshots, "how
-/// did this start" debugging); `ring` retention preserves its suffix
-/// (post-mortem of a long run). Either way a counter records how many
-/// events did not fit.
+/// A bounded in-memory event log keeping a run's prefix (golden
+/// snapshots, "how did this start" debugging). A counter records how many
+/// later events did not fit.
 #[derive(Clone, Debug)]
 pub struct TraceBuffer {
     events: Vec<TraceEvent>,
     capacity: usize,
-    retention: Retention,
-    /// Ring write position (index of the logical first event once wrapped).
-    start: usize,
     dropped: u64,
 }
 
@@ -36,52 +20,25 @@ impl TraceBuffer {
         TraceBuffer {
             events: Vec::new(),
             capacity,
-            retention: Retention::KeepFirst,
-            start: 0,
             dropped: 0,
         }
     }
 
-    /// A buffer keeping the **last** `capacity` events.
-    pub fn ring(capacity: usize) -> Self {
-        TraceBuffer {
-            events: Vec::new(),
-            capacity,
-            retention: Retention::Ring,
-            start: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, applying the retention policy when full.
+    /// Appends an event, or counts it as dropped when the buffer is full.
     pub fn record(&mut self, ev: TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         if self.events.len() < self.capacity {
             self.events.push(ev);
-            return;
-        }
-        match self.retention {
-            Retention::KeepFirst => self.dropped += 1,
-            Retention::Ring => {
-                self.events[self.start] = ev;
-                self.start = (self.start + 1) % self.capacity;
-                self.dropped += 1;
-            }
+        } else {
+            self.dropped += 1;
         }
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.start..]);
-        out.extend_from_slice(&self.events[..self.start]);
-        out
+        self.events.clone()
     }
 
-    /// Events that exceeded the capacity (dropped or overwritten).
+    /// Events that exceeded the capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -110,7 +67,7 @@ impl TraceBuffer {
     /// abort, `a` other abort, `C` commit, `s` shootdown, `.` begin).
     /// Access, section, eviction and coherence events are not drawn.
     pub fn render_timeline(&self, threads: usize, buckets: usize) -> String {
-        let events = self.events();
+        let events = &self.events;
         let end = events
             .iter()
             .map(|e| e.at().raw())
@@ -128,7 +85,7 @@ impl TraceBuffer {
             '.' => 0,
             _ => -1,
         };
-        for ev in &events {
+        for ev in events {
             let Some(t) = ev.thread() else { continue };
             let t = t.index();
             if t >= threads {
@@ -200,19 +157,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_retains_the_suffix_in_order() {
-        let mut b = TraceBuffer::ring(3);
-        for at in 0..7 {
-            b.record(begin(0, at));
-        }
-        let ats: Vec<u64> = b.events().iter().map(|e| e.at().raw()).collect();
-        assert_eq!(ats, [4, 5, 6]);
-        assert_eq!(b.dropped(), 4);
-    }
-
-    #[test]
     fn zero_capacity_drops_everything() {
-        let mut b = TraceBuffer::ring(0);
+        let mut b = TraceBuffer::keep_first(0);
         b.record(begin(0, 1));
         assert!(b.is_empty());
         assert_eq!(b.dropped(), 1);

@@ -6,7 +6,7 @@
 //! epochs — into whatever [`TraceSink`] the caller supplies. Everything
 //! else in this crate is a sink:
 //!
-//! * [`TraceBuffer`] — a bounded event log (keep-first or ring retention)
+//! * [`TraceBuffer`] — a bounded event log keeping a run's first events,
 //!   with a text timeline renderer;
 //! * [`TraceMetrics`] — counters and power-of-two histograms (abort-cause
 //!   breakdown, read/write-set size distributions, retry counts, HTM
@@ -61,4 +61,4 @@ pub use digest::{DigestSink, Fnv64};
 pub use event::TraceEvent;
 pub use metrics::{HistSummary, Histogram, TraceMetrics};
 pub use recording::{Recording, TraceSummary};
-pub use sink::{Tee, TraceSink};
+pub use sink::TraceSink;

@@ -28,79 +28,3 @@ pub trait TraceSink {
         true
     }
 }
-
-/// Fans one event stream out to two sinks (compose for more).
-///
-/// # Examples
-///
-/// ```
-/// use hintm_trace::{DigestSink, Tee, TraceBuffer, TraceSink, TraceEvent};
-/// use hintm_types::{Cycles, ThreadId};
-///
-/// let mut buf = TraceBuffer::keep_first(8);
-/// let mut dig = DigestSink::new();
-/// let mut tee = Tee::new(&mut buf, &mut dig);
-/// tee.event(&TraceEvent::TxBegin { thread: ThreadId(0), at: Cycles(1) });
-/// drop(tee);
-/// assert_eq!(buf.events().len(), 1);
-/// assert_eq!(dig.events(), 1);
-/// ```
-pub struct Tee<'a> {
-    a: &'a mut dyn TraceSink,
-    b: &'a mut dyn TraceSink,
-}
-
-impl<'a> Tee<'a> {
-    /// Builds a tee delivering every event to `a` then `b`.
-    pub fn new(a: &'a mut dyn TraceSink, b: &'a mut dyn TraceSink) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl TraceSink for Tee<'_> {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.a.event(ev);
-        self.b.event(ev);
-    }
-
-    fn wants_accesses(&self) -> bool {
-        self.a.wants_accesses() || self.b.wants_accesses()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::buffer::TraceBuffer;
-    use hintm_types::{Cycles, ThreadId};
-
-    struct LifecycleOnly(u64);
-    impl TraceSink for LifecycleOnly {
-        fn event(&mut self, _ev: &TraceEvent) {
-            self.0 += 1;
-        }
-        fn wants_accesses(&self) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn tee_delivers_to_both_and_unions_wants() {
-        let mut a = LifecycleOnly(0);
-        let mut b = LifecycleOnly(0);
-        {
-            let mut tee = Tee::new(&mut a, &mut b);
-            assert!(!tee.wants_accesses());
-            tee.event(&TraceEvent::TxBegin {
-                thread: ThreadId(0),
-                at: Cycles(1),
-            });
-        }
-        assert_eq!((a.0, b.0), (1, 1));
-
-        let mut buf = TraceBuffer::keep_first(4);
-        let mut c = LifecycleOnly(0);
-        let tee = Tee::new(&mut buf, &mut c);
-        assert!(tee.wants_accesses(), "buffer wants accesses");
-    }
-}

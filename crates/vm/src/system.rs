@@ -68,7 +68,6 @@ pub struct VmSystem {
     page_walk_latency: Cycles,
     minor_fault_cost: Cycles,
     shootdown_initiator_cost: Cycles,
-    shootdown_slave_cost: Cycles,
     stats: VmStats,
     /// Bumped whenever any page's table state changes; memos from older
     /// versions are dead.
@@ -90,17 +89,10 @@ impl VmSystem {
             page_walk_latency: cfg.page_walk_latency,
             minor_fault_cost: cfg.minor_fault_cost,
             shootdown_initiator_cost: cfg.shootdown_initiator_cost,
-            shootdown_slave_cost: cfg.shootdown_slave_cost,
             stats: VmStats::default(),
             version: 0,
             memos: vec![None; cfg.num_cores],
         }
-    }
-
-    /// The per-slave-core shootdown cost (charged by the simulator to each
-    /// core in [`Shootdown::slave_cores`]).
-    pub fn slave_cost(&self) -> Cycles {
-        self.shootdown_slave_cost
     }
 
     /// Whether preserve mode is on.

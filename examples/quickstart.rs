@@ -5,21 +5,21 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hintm::{AbortKind, Experiment, HintMode, HtmKind};
+use hintm::{AbortKind, Cell, HintMode, HtmKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", hintm::MachineConfig::default().table2_summary());
     println!();
 
     // Baseline: conventional P8 HTM (64-entry transactional buffer).
-    let base = Experiment::new("vacation").htm(HtmKind::P8).run()?;
+    let base = Cell::new("vacation").htm(HtmKind::P8).run()?;
     // HinTM: static compiler hints + dynamic page-level classification.
-    let hinted = Experiment::new("vacation")
+    let hinted = Cell::new("vacation")
         .htm(HtmKind::P8)
-        .hint_mode(HintMode::Full)
+        .hint(HintMode::Full)
         .run()?;
     // The capacity-abort-free upper bound.
-    let infcap = Experiment::new("vacation").htm(HtmKind::InfCap).run()?;
+    let infcap = Cell::new("vacation").htm(HtmKind::InfCap).run()?;
 
     for r in [&base, &hinted, &infcap] {
         println!("{r}");

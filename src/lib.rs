@@ -8,8 +8,8 @@
 //! # Examples
 //!
 //! ```
-//! use hintm_repro::hintm::{Experiment, HtmKind};
-//! let report = Experiment::new("kmeans").htm(HtmKind::P8).run()?;
+//! use hintm_repro::hintm::{Cell, HtmKind};
+//! let report = Cell::new("kmeans").htm(HtmKind::P8).run()?;
 //! assert!(report.stats.commits > 0);
 //! # Ok::<(), hintm_repro::hintm::UnknownWorkload>(())
 //! ```

@@ -17,7 +17,7 @@
 //! attempts never weaken the check: committed footprints are always a
 //! subset of what the static analysis bounded.
 
-use hintm::{AbortKind, AllocConfig, Experiment, HtmKind};
+use hintm::{AbortKind, Cell, HtmKind};
 use hintm_audit::{analyze_workload, AnalyzeReport, Scale};
 use hintm_ir::{Bound, CapacityModel, Verdict};
 use hintm_workloads::WORKLOAD_NAMES;
@@ -61,7 +61,7 @@ fn static_bounds_dominate_dynamic_footprints() {
         let read_hi = worst_hi(&report, |tx| tx.read_hi);
         let write_hi = worst_hi(&report, |tx| tx.write_hi);
         for model in CapacityModel::ALL {
-            let (run, _) = Experiment::new(name)
+            let (run, _) = Cell::new(name)
                 .htm(htm_for(model))
                 .run_traced(1)
                 .expect("known workload");
@@ -92,7 +92,7 @@ fn fits_verdicts_mean_no_capacity_aborts() {
                 continue;
             }
             fits_cases += 1;
-            let (run, _) = Experiment::new(name)
+            let (run, _) = Cell::new(name)
                 .htm(htm_for(model))
                 .run_traced(1)
                 .expect("known workload");
@@ -123,7 +123,7 @@ fn must_overflow_verdicts_mean_capacity_aborts_happen() {
         CapacityModel::PStretch,
     ] {
         assert_eq!(report.worst(model), Verdict::MustOverflow);
-        let (run, _) = Experiment::new("labyrinth")
+        let (run, _) = Cell::new("labyrinth")
             .htm(htm_for(model))
             .run_traced(1)
             .expect("known workload");
@@ -144,12 +144,9 @@ fn must_overflow_verdicts_mean_capacity_aborts_happen() {
 #[test]
 fn alloc_coloring_shifts_capacity_aborts_not_commits() {
     let run_colored = |stride: u64| {
-        Experiment::new("genome")
+        Cell::new("genome")
             .htm(HtmKind::P8)
-            .alloc(AllocConfig {
-                color_stride: stride,
-                ..AllocConfig::default()
-            })
+            .alloc_color(stride)
             .run()
             .expect("known workload")
     };

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: invariants that must hold for every
 //! workload under every HTM/hint configuration.
 
-use hintm::{AbortKind, Experiment, HintMode, HtmKind, Scale, WORKLOAD_NAMES};
+use hintm::{AbortKind, Cell, HintMode, HtmKind, Scale, WORKLOAD_NAMES};
 
 /// Sections a workload generates are fixed per seed, so every configuration
 /// must complete the same number of transactions (hints and capacity only
@@ -9,11 +9,7 @@ use hintm::{AbortKind, Experiment, HintMode, HtmKind, Scale, WORKLOAD_NAMES};
 #[test]
 fn every_config_completes_the_same_work() {
     for name in WORKLOAD_NAMES {
-        let base = Experiment::new(name)
-            .htm(HtmKind::P8)
-            .seed(3)
-            .run()
-            .unwrap();
+        let base = Cell::new(name).htm(HtmKind::P8).seed(3).run().unwrap();
         let expected = base.stats.commits + base.stats.fallback_commits;
         assert!(expected > 0, "{name} did no work");
         for (htm, hint) in [
@@ -24,12 +20,7 @@ fn every_config_completes_the_same_work() {
             (HtmKind::L1Tm, HintMode::Off),
             (HtmKind::InfCap, HintMode::Off),
         ] {
-            let r = Experiment::new(name)
-                .htm(htm)
-                .hint_mode(hint)
-                .seed(3)
-                .run()
-                .unwrap();
+            let r = Cell::new(name).htm(htm).hint(hint).seed(3).run().unwrap();
             assert_eq!(
                 r.stats.commits + r.stats.fallback_commits,
                 expected,
@@ -43,11 +34,7 @@ fn every_config_completes_the_same_work() {
 #[test]
 fn infcap_never_capacity_aborts_on_any_workload() {
     for name in WORKLOAD_NAMES {
-        let r = Experiment::new(name)
-            .htm(HtmKind::InfCap)
-            .seed(5)
-            .run()
-            .unwrap();
+        let r = Cell::new(name).htm(HtmKind::InfCap).seed(5).run().unwrap();
         assert_eq!(
             r.stats.aborts_of(AbortKind::Capacity),
             0,
@@ -66,14 +53,10 @@ fn infcap_never_capacity_aborts_on_any_workload() {
 #[test]
 fn hints_never_increase_capacity_aborts() {
     for name in WORKLOAD_NAMES {
-        let base = Experiment::new(name)
+        let base = Cell::new(name).htm(HtmKind::P8).seed(7).run().unwrap();
+        let full = Cell::new(name)
             .htm(HtmKind::P8)
-            .seed(7)
-            .run()
-            .unwrap();
-        let full = Experiment::new(name)
-            .htm(HtmKind::P8)
-            .hint_mode(HintMode::Full)
+            .hint(HintMode::Full)
             .seed(7)
             .run()
             .unwrap();
@@ -92,9 +75,9 @@ fn hints_never_increase_capacity_aborts() {
 fn page_mode_aborts_only_with_dynamic_hints() {
     for name in WORKLOAD_NAMES {
         for hint in [HintMode::Off, HintMode::Static] {
-            let r = Experiment::new(name)
+            let r = Cell::new(name)
                 .htm(HtmKind::P8)
-                .hint_mode(hint)
+                .hint(hint)
                 .seed(2)
                 .run()
                 .unwrap();
@@ -111,16 +94,8 @@ fn page_mode_aborts_only_with_dynamic_hints() {
 #[test]
 fn suite_is_deterministic() {
     for name in WORKLOAD_NAMES {
-        let a = Experiment::new(name)
-            .hint_mode(HintMode::Full)
-            .seed(11)
-            .run()
-            .unwrap();
-        let b = Experiment::new(name)
-            .hint_mode(HintMode::Full)
-            .seed(11)
-            .run()
-            .unwrap();
+        let a = Cell::new(name).hint(HintMode::Full).seed(11).run().unwrap();
+        let b = Cell::new(name).hint(HintMode::Full).seed(11).run().unwrap();
         assert_eq!(
             a.stats.total_cycles, b.stats.total_cycles,
             "{name} diverged"
@@ -136,8 +111,8 @@ fn suite_is_deterministic() {
 /// Different seeds produce different executions (the RNG plumbing works).
 #[test]
 fn seeds_matter() {
-    let a = Experiment::new("vacation").seed(1).run().unwrap();
-    let b = Experiment::new("vacation").seed(2).run().unwrap();
+    let a = Cell::new("vacation").seed(1).run().unwrap();
+    let b = Cell::new("vacation").seed(2).run().unwrap();
     assert_ne!(a.stats.total_cycles, b.stats.total_cycles);
 }
 
@@ -177,11 +152,7 @@ fn static_classification_matches_paper_structure() {
 #[test]
 fn page_census_is_consistent() {
     for name in WORKLOAD_NAMES {
-        let r = Experiment::new(name)
-            .hint_mode(HintMode::Full)
-            .seed(4)
-            .run()
-            .unwrap();
+        let r = Cell::new(name).hint(HintMode::Full).seed(4).run().unwrap();
         let (safe, total) = r.stats.safe_pages;
         assert!(safe <= total, "{name}: safe pages {safe} > total {total}");
         assert!(total > 0, "{name}: no pages touched");
@@ -192,8 +163,8 @@ fn page_census_is_consistent() {
 /// attempts and its slots are used as designed.
 #[test]
 fn access_breakdown_sums_are_sane() {
-    let r = Experiment::new("labyrinth")
-        .hint_mode(HintMode::Full)
+    let r = Cell::new("labyrinth")
+        .hint(HintMode::Full)
         .preserve(true)
         .seed(6)
         .run()
@@ -203,7 +174,7 @@ fn access_breakdown_sums_are_sane() {
     assert!(un > 0, "the overlay traffic is unsafe");
     assert!(st + dy + un > 1000, "labyrinth TXs are access-heavy");
     // Baseline mode classifies nothing.
-    let base = Experiment::new("labyrinth").seed(6).run().unwrap();
+    let base = Cell::new("labyrinth").seed(6).run().unwrap();
     assert_eq!(base.stats.access_breakdown[0], 0);
     assert_eq!(base.stats.access_breakdown[1], 0);
 }
@@ -211,7 +182,7 @@ fn access_breakdown_sums_are_sane() {
 /// SMT-2 halves the core count per thread but still completes everything.
 #[test]
 fn smt2_runs_complete() {
-    let r = Experiment::new("vacation")
+    let r = Cell::new("vacation")
         .htm(HtmKind::L1Tm)
         .threads(16)
         .smt2(true)

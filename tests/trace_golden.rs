@@ -14,7 +14,7 @@
 //! HINTM_BLESS=1 cargo test --test trace_golden
 //! ```
 
-use hintm::Experiment;
+use hintm::Cell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 const HEAD: usize = 40;
 
 fn render(name: &str) -> String {
-    let (r, rec) = Experiment::new(name).seed(42).run_traced(1 << 22).unwrap();
+    let (r, rec) = Cell::new(name).seed(42).run_traced(1 << 22).unwrap();
     assert_eq!(rec.dropped(), 0, "{name}: raise the trace capacity");
     let t = r.trace.expect("traced run carries a summary");
     let mut out = String::new();

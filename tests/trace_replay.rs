@@ -13,15 +13,15 @@
 //! A third test closes the export loop: the binary log round-trips the
 //! event stream and its payload hash equals the streaming digest.
 
-use hintm::{Experiment, WORKLOAD_NAMES};
+use hintm::{Cell, WORKLOAD_NAMES};
 use hintm_trace::binlog::payload_digest;
 use hintm_trace::{read_binlog, write_binlog};
 
 #[test]
 fn tracing_changes_no_simulation_outcome() {
     for name in WORKLOAD_NAMES {
-        let plain = Experiment::new(name).run().unwrap();
-        let (traced, _) = Experiment::new(name).run_traced(1024).unwrap();
+        let plain = Cell::new(name).run().unwrap();
+        let (traced, _) = Cell::new(name).run_traced(1024).unwrap();
         assert_eq!(
             format!("{:?}", plain.stats),
             format!("{:?}", traced.stats),
@@ -35,14 +35,14 @@ fn tracing_changes_no_simulation_outcome() {
 #[test]
 fn same_seed_replays_bit_identically() {
     for name in WORKLOAD_NAMES {
-        let (ra, a) = Experiment::new(name).seed(7).run_traced(256).unwrap();
-        let (rb, b) = Experiment::new(name).seed(7).run_traced(256).unwrap();
+        let (ra, a) = Cell::new(name).seed(7).run_traced(256).unwrap();
+        let (rb, b) = Cell::new(name).seed(7).run_traced(256).unwrap();
         assert_eq!(a.digest(), b.digest(), "{name}: replay digest diverged");
         // The full summary (every counter and histogram) must agree too,
         // not just the stream hash.
         assert_eq!(ra.trace, rb.trace, "{name}: metric summaries diverged");
 
-        let (_, c) = Experiment::new(name).seed(8).run_traced(256).unwrap();
+        let (_, c) = Cell::new(name).seed(8).run_traced(256).unwrap();
         assert_ne!(
             a.digest(),
             c.digest(),
@@ -56,7 +56,7 @@ fn binlog_round_trips_and_hashes_to_the_stream_digest() {
     // Big enough to retain kmeans' whole run (~52k events): the binary
     // log's payload bytes are exactly the digest's input, so the two
     // hashes coincide only when nothing was dropped.
-    let (_, rec) = Experiment::new("kmeans").run_traced(1 << 22).unwrap();
+    let (_, rec) = Cell::new("kmeans").run_traced(1 << 22).unwrap();
     assert_eq!(rec.dropped(), 0, "raise the cap: events were dropped");
     let events = rec.events();
     let bytes = write_binlog(&events);
