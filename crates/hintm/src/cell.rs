@@ -6,7 +6,7 @@
 //! function. Every surface that names axes walks that table instead of
 //! listing fields: the cache key, the cell JSON of the sweep manifest and
 //! the claim wire ([`cell_to_json`], [`cell_from_json`]), the axis flags of
-//! `hintm run`/`suite`/`trace`/`sweep`, the `POST /sweeps` body
+//! `hintm run`/`trace`/`sweep`, the `POST /sweeps` body
 //! ([`SweepSpec::from_json`]) and the sweep cross product
 //! ([`SweepSpec::cells`]). A new axis is a `Cell` field, its builder, and
 //! one row. A cell also builds its [`SimConfig`] and runs itself
@@ -81,7 +81,7 @@ pub struct Axis {
     /// with a `flag` is also a `POST /sweeps` key under this name, unless
     /// it has a `list` name.
     pub json: &'static str,
-    /// Flag setting the axis on `hintm run`/`suite`/`trace`/`sweep`
+    /// Flag setting the axis on `hintm run`/`trace`/`sweep`
     /// (`None`: only the builder and cell JSON reach it). Flags whose
     /// value renders as JSON `true`/`false` take no value.
     pub flag: Option<&'static str>,

@@ -8,13 +8,15 @@
 //! hintm run   --workload vacation [--htm p8|p8s|l1tm|infcap|rot|logtm|lrws|pstretch]
 //!             [--hints off|static|dynamic|full] [--seed N] [--scale sim|large]
 //!             [--threads N] [--smt2] [--preserve] [--csv]
-//! hintm suite [--htm ...] [--hints ...] [--seed N] [--scale ...] [--csv]
 //! hintm audit [--workloads a,b | --all] [--seed N] [--scale ...]
 //! hintm trace <workload> [run options] [--events N] [--out <dir>]
+//! hintm sweep [--workloads a,b] [--htm k1,k2] [--hints m1,m2] [--csv]
 //! ```
 //!
-//! The run-configuration flags are the [`AXES`] table's: one parser
-//! (`axis_flag`) serves `run`/`suite`, `trace` and `sweep`.
+//! Each job has one command: a whole-suite table is `sweep --csv`, a
+//! timeline is `trace`, and auditing or analyzing workloads is `audit` or
+//! `analyze`. The run-configuration flags are the [`AXES`] table's: one
+//! parser (`axis_flag`) serves `run`, `trace` and `sweep`.
 
 use crate::json::{analyze_report_to_json, audit_report_to_json, Json};
 use crate::{
@@ -42,8 +44,6 @@ pub enum Command {
     List,
     /// Run one experiment.
     Run(RunArgs),
-    /// Run the whole suite under one configuration.
-    Suite(RunArgs),
     /// Audit safety-hint soundness (verifier + lints + dynamic oracle).
     Audit(AuditArgs),
     /// Static capacity-footprint analysis + hint inference (no simulator
@@ -52,7 +52,8 @@ pub enum Command {
     /// Run one experiment under a trace recorder and report/export the
     /// captured event stream.
     Trace(TraceArgs),
-    /// Run a parallel sweep (dispatched by the `hintm-runner` binary).
+    /// Run a parallel sweep (dispatched by the `hintm` binary in
+    /// `hintm-serve`).
     Sweep(SweepArgs),
     /// Clear the on-disk result cache (dispatched by `hintm-serve`).
     CacheClear {
@@ -148,7 +149,7 @@ impl Default for AnalyzeArgs {
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceArgs {
     /// Run configuration; the workload is `trace`'s positional argument.
-    pub run: RunArgs,
+    pub cell: Cell,
     /// Directory for `<workload>.trace.json` (Chrome trace_event) and
     /// `<workload>.trace.bin` (compact binary log).
     pub out: Option<String>,
@@ -160,7 +161,7 @@ pub struct TraceArgs {
 impl Default for TraceArgs {
     fn default() -> Self {
         TraceArgs {
-            run: RunArgs::default(),
+            cell: Cell::default(),
             out: None,
             events: 100_000,
         }
@@ -168,48 +169,32 @@ impl Default for TraceArgs {
 }
 
 /// Options for `hintm sweep`. Parsing lives here with the other commands;
-/// execution lives in the `hintm-runner` crate (which depends on this
-/// one), so [`execute`] rejects it.
+/// execution lives in the `hintm` binary of the `hintm-serve` crate (which
+/// reaches the runner and its cache), so [`execute`] rejects it. An
+/// interrupted sweep resumes by running it again: cached cells replay.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepArgs {
     /// The swept axes (see [`AXES`]).
     pub spec: SweepSpec,
-    /// Sweep a three-workload smoke subset instead of every registered
-    /// workload (ignored when `--workloads` names them explicitly).
-    pub smoke: bool,
     /// Worker threads (`None` = the machine's available parallelism).
     pub jobs: Option<usize>,
     /// Bypass the result cache entirely.
     pub no_cache: bool,
-    /// Resume an interrupted sweep from the cache (the default behavior;
-    /// the flag documents intent and conflicts with `--no-cache`).
-    pub resume: bool,
     /// Cache directory override.
     pub cache_dir: Option<String>,
     /// Artifact output directory (manifest + CSV/JSON tables).
     pub out: Option<String>,
     /// Also print the results CSV to stdout.
     pub csv: bool,
-    /// Audit every swept workload after the sweep (fails on unsound hints).
-    pub audit: bool,
-    /// Statically analyze every swept workload after the sweep (fails on
-    /// lint or verifier errors).
-    pub analyze: bool,
-    /// Trace every cell, summarizing metrics per cell and exporting the
-    /// event streams under `<out>/traces/` (forces a cache bypass).
-    pub trace: bool,
 }
 
-/// Options shared by `run` and `suite`.
+/// Options for `hintm run`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunArgs {
-    /// The run configuration. `run` requires its workload; `suite` runs
-    /// every registered workload and ignores it.
+    /// The run configuration; `run` requires its workload.
     pub cell: Cell,
     /// Emit CSV instead of a table.
     pub csv: bool,
-    /// Print a lifecycle timeline after the run (`run` only).
-    pub trace: bool,
 }
 
 /// Usage text.
@@ -219,7 +204,6 @@ hintm — HinTM (HPCA 2023) reproduction CLI
 USAGE:
   hintm list
   hintm run --workload <name> [options]
-  hintm suite [options]
   hintm audit [audit options]
   hintm analyze [<workload>] [analyze options]
   hintm trace <workload> [options] [trace options]
@@ -244,9 +228,9 @@ OPTIONS:
                            allocation by <bytes>. Changes simulated addresses
                            (and so abort counts), never committed state    [0]
   --csv                    machine-readable CSV output
-  --trace                  print a per-thread lifecycle timeline (run only)
 
-TRACE OPTIONS (records the run's event stream; run options above apply):
+TRACE OPTIONS (records the run's event stream and prints a per-thread
+lifecycle timeline; run options above apply):
   --events <n>             events retained in the trace buffer         [100000]
   --out <dir>              write <workload>.trace.json (Chrome trace_event)
                            and <workload>.trace.bin (binary log) into <dir>
@@ -268,7 +252,8 @@ verifier error):
   --json                   emit a JSON report instead of the table
 
 SWEEP OPTIONS (comma-separated lists sweep the cross product; the run
-spellings --workload, --seed and --alloc-color take lists too):
+spellings --workload, --seed and --alloc-color take lists too; cached
+cells replay, so rerunning an interrupted sweep resumes it):
   --workloads <a,b,..>     workloads to sweep                  [all registered]
   --htm <k1,k2,..>         HTM configurations to sweep                    [p8]
   --models <k1,k2,..>      alias for --htm
@@ -276,21 +261,13 @@ spellings --workload, --seed and --alloc-color take lists too):
   --seeds <n1,n2,..>       seeds to sweep                                 [42]
   --alloc-colors <b1,b2,.> heap-placement color strides to sweep (a
                            result-affecting axis)                          [0]
-  --smoke                  sweep a fast three-workload smoke subset instead
-                           of every registered workload
   --scale / --threads / --sim-threads / --smt2 / --preserve
                            as above, applied to every cell
   --jobs <n>               worker threads            [machine's parallelism]
   --no-cache               bypass the on-disk result cache
-  --resume                 resume an interrupted sweep from the cache
   --cache-dir <dir>        cache location      [$HINTM_CACHE_DIR or .hintm-cache]
   --out <dir>              write manifest.json + results.{csv,json} here
   --csv                    also print the results CSV to stdout
-  --audit                  audit every swept workload after the sweep
-  --analyze                statically analyze every swept workload after the
-                           sweep (fails on lint/verifier errors)
-  --trace                  trace every cell (bypasses the cache); with --out,
-                           exports event streams under <out>/traces/
 
 SERVE OPTIONS (long-running daemon: HTTP API over a job queue that shares
 the result cache across workers and repeat submissions):
@@ -326,29 +303,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "sweep" => parse_sweep(&args[1..]),
         "cache" => parse_cache(&args[1..]),
         "serve" => parse_serve(&args[1..]),
-        "run" | "suite" => {
-            let mut ra = RunArgs::default();
-            let mut i = 1;
-            while i < args.len() {
-                if !cell_flag(args, &mut i, &mut ra.cell)? {
-                    match args[i].as_str() {
-                        "--csv" => ra.csv = true,
-                        "--trace" => ra.trace = true,
-                        other => return Err(CliError(format!("unknown flag `{other}`"))),
-                    }
-                }
-                i += 1;
-            }
-            ra.cell.check().map_err(CliError)?;
-            if sub == "run" {
-                if ra.cell.workload.is_empty() {
-                    return Err(CliError("`run` requires --workload <name>".into()));
-                }
-                Ok(Command::Run(ra))
-            } else {
-                Ok(Command::Suite(ra))
-            }
-        }
+        "run" => parse_run(&args[1..]),
         other => Err(CliError(format!(
             "unknown command `{other}` (try `hintm help`)"
         ))),
@@ -435,6 +390,25 @@ fn names(v: &str) -> Vec<String> {
         .collect()
 }
 
+fn parse_run(args: &[String]) -> Result<Command, CliError> {
+    let mut ra = RunArgs::default();
+    let mut i = 0;
+    while i < args.len() {
+        if !cell_flag(args, &mut i, &mut ra.cell)? {
+            match args[i].as_str() {
+                "--csv" => ra.csv = true,
+                other => return Err(CliError(format!("unknown flag `{other}`"))),
+            }
+        }
+        i += 1;
+    }
+    ra.cell.check().map_err(CliError)?;
+    if ra.cell.workload.is_empty() {
+        return Err(CliError("`run` requires --workload <name>".into()));
+    }
+    Ok(Command::Run(ra))
+}
+
 fn parse_audit(args: &[String]) -> Result<Command, CliError> {
     let mut aa = AuditArgs::default();
     let mut all = false;
@@ -481,22 +455,22 @@ fn parse_trace(args: &[String]) -> Result<Command, CliError> {
     let mut ta = TraceArgs::default();
     let mut i = 0;
     while i < args.len() {
-        if !cell_flag(args, &mut i, &mut ta.run.cell)? {
+        if !cell_flag(args, &mut i, &mut ta.cell)? {
             match args[i].as_str() {
                 "--events" => ta.events = parsed(args, &mut i)?,
                 "--out" => ta.out = Some(value(args, &mut i)?),
-                name if !name.starts_with('-') && ta.run.cell.workload.is_empty() => {
-                    ta.run.cell.workload = name.to_string();
+                name if !name.starts_with('-') && ta.cell.workload.is_empty() => {
+                    ta.cell.workload = name.to_string();
                 }
                 other => return Err(CliError(format!("unknown flag `{other}`"))),
             }
         }
         i += 1;
     }
-    if ta.run.cell.workload.is_empty() {
+    if ta.cell.workload.is_empty() {
         return Err(CliError("`trace` requires a workload name".into()));
     }
-    ta.run.cell.check().map_err(CliError)?;
+    ta.cell.check().map_err(CliError)?;
     Ok(Command::Trace(ta))
 }
 
@@ -513,22 +487,14 @@ fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
             continue;
         }
         match flag.as_str() {
-            "--smoke" => sa.smoke = true,
             "--jobs" => sa.jobs = Some(parsed(args, &mut i)?),
             "--no-cache" => sa.no_cache = true,
-            "--resume" => sa.resume = true,
             "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?),
             "--out" => sa.out = Some(value(args, &mut i)?),
             "--csv" => sa.csv = true,
-            "--audit" => sa.audit = true,
-            "--analyze" => sa.analyze = true,
-            "--trace" => sa.trace = true,
             other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
         i += 1;
-    }
-    if sa.no_cache && sa.resume {
-        return Err(CliError("--resume needs the cache; drop --no-cache".into()));
     }
     sa.spec
         .cells()
@@ -586,15 +552,6 @@ fn parse_serve(args: &[String]) -> Result<Command, CliError> {
     Ok(Command::Serve(sa))
 }
 
-/// Runs `ra`'s configuration on workload `name`.
-fn run_one(name: &str, ra: &RunArgs) -> Result<RunReport, CliError> {
-    let cell = Cell {
-        workload: name.to_string(),
-        ..ra.cell.clone()
-    };
-    cell.run().map_err(|e| CliError(e.to_string()))
-}
-
 /// CSV header matching [`csv_row`].
 pub const CSV_HEADER: &str = "workload,htm,hints,seed,cycles,commits,fallback,\
 conflict,capacity,false_conflict,page_mode,lock,shootdowns,safe_pages,total_pages";
@@ -623,7 +580,7 @@ pub fn csv_row(r: &RunReport, seed: u64) -> String {
 }
 
 /// Column header matching [`audit_row`].
-pub fn audit_header() -> String {
+fn audit_header() -> String {
     format!(
         "{:<12} {:>5} {:>5} {:>5} {:>7} {:>6} {:>5} {:>5}  verdict",
         "workload", "sites", "safe", "exec", "unsound", "missed", "lintE", "lintW",
@@ -631,7 +588,7 @@ pub fn audit_header() -> String {
 }
 
 /// Renders one audit report as a fixed-width table row.
-pub fn audit_row(r: &AuditReport) -> String {
+fn audit_row(r: &AuditReport) -> String {
     format!(
         "{:<12} {:>5} {:>5} {:>5} {:>7} {:>6} {:>5} {:>5}  {}",
         r.workload,
@@ -647,7 +604,7 @@ pub fn audit_row(r: &AuditReport) -> String {
 }
 
 /// Column header matching [`analyze_row`].
-pub fn analyze_header() -> String {
+fn analyze_header() -> String {
     format!(
         "{:<12} {:>3} {:>3}  {:<13} {:<13} {:<13} {:<13} {:<13} {:>4} {:>4} {:>5} {:>5}  verdict",
         "workload",
@@ -666,7 +623,7 @@ pub fn analyze_header() -> String {
 }
 
 /// Renders one analyze report as a fixed-width table row.
-pub fn analyze_row(r: &AnalyzeReport) -> String {
+fn analyze_row(r: &AnalyzeReport) -> String {
     let s = r.stats();
     format!(
         "{:<12} {:>3} {:>3}  {:<13} {:<13} {:<13} {:<13} {:<13} {:>4} {:>4} {:>5} {:>5}  {}",
@@ -755,23 +712,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<(), CliEr
             Ok(())
         }
         Command::Run(ra) => {
-            if ra.trace {
-                let (r, trace) = ra
-                    .cell
-                    .run_traced(100_000)
-                    .map_err(|e| CliError(e.to_string()))?;
-                writeln!(out, "{r}").map_err(io)?;
-                let threads = if ra.cell.smt2 { 16 } else { 8 };
-                writeln!(
-                    out,
-                    "
-timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
-                )
-                .map_err(io)?;
-                writeln!(out, "{}", trace.render_timeline(threads, 100)).map_err(io)?;
-                return Ok(());
-            }
-            let r = run_one(&ra.cell.workload, ra)?;
+            let r = ra.cell.run().map_err(|e| CliError(e.to_string()))?;
             if ra.csv {
                 writeln!(out, "{CSV_HEADER}").map_err(io)?;
                 writeln!(out, "{}", csv_row(&r, ra.cell.seed)).map_err(io)?;
@@ -781,9 +722,8 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
             Ok(())
         }
         Command::Trace(ta) => {
-            let name = &ta.run.cell.workload;
+            let name = &ta.cell.workload;
             let (r, rec) = ta
-                .run
                 .cell
                 .run_traced(ta.events)
                 .map_err(|e| CliError(e.to_string()))?;
@@ -804,7 +744,7 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
                 t.retries.mean()
             )
             .map_err(io)?;
-            let threads = if ta.run.cell.smt2 { 16 } else { 8 };
+            let threads = if ta.cell.smt2 { 16 } else { 8 };
             writeln!(
                 out,
                 "\ntimeline (C commit, a/A/P aborts, F fallback, s shootdown):"
@@ -888,20 +828,6 @@ timeline (C commit, a/A/P aborts, F fallback, s shootdown):"
             }
             Ok(())
         }
-        Command::Suite(ra) => {
-            if ra.csv {
-                writeln!(out, "{CSV_HEADER}").map_err(io)?;
-            }
-            for name in WORKLOAD_NAMES {
-                let r = run_one(name, ra)?;
-                if ra.csv {
-                    writeln!(out, "{}", csv_row(&r, ra.cell.seed)).map_err(io)?;
-                } else {
-                    writeln!(out, "{r}").map_err(io)?;
-                }
-            }
-            Ok(())
-        }
     }
 }
 
@@ -940,7 +866,7 @@ mod tests {
             .smt2(true)
             .preserve(true);
         assert_eq!(ra.cell, expected);
-        assert!(ra.csv && !ra.trace);
+        assert!(ra.csv);
     }
 
     #[test]
@@ -960,6 +886,11 @@ mod tests {
         // There is one execution tier; its old selector is an unknown flag.
         assert!(parse(&argv("run --workload x --exec compiled")).is_err());
         assert!(parse(&argv("trace kmeans --exec compiled")).is_err());
+        // Removed duplicates: `sweep --csv` is the whole-suite table and
+        // `trace` the timeline.
+        assert!(parse(&argv("suite")).is_err());
+        assert!(parse(&argv("suite --hints full --csv")).is_err());
+        assert!(parse(&argv("run --workload kmeans --trace")).is_err());
     }
 
     fn run_cell(args: &str) -> Cell {
@@ -993,7 +924,6 @@ mod tests {
             "run --workload kmeans --threads 9",
             "run --workload kmeans --threads 0",
             "run --workload kmeans --threads 17 --smt2",
-            "suite --threads 9",
             "trace kmeans --threads 9",
             "sweep --workloads kmeans --threads 9",
             "sweep --threads 0",
@@ -1037,19 +967,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_models_alias_and_smoke() {
-        let Command::Sweep(sa) = parse(&argv("sweep --models lrws,pstretch --smoke")).unwrap()
-        else {
+    fn sweep_models_alias() {
+        let Command::Sweep(sa) = parse(&argv("sweep --models lrws,pstretch")).unwrap() else {
             panic!("expected sweep")
         };
         let models = SweepSpec::new().htms([HtmKind::Lrws, HtmKind::PStretch]);
         assert_eq!(sa.spec.cells(), models.cells());
-        assert!(sa.smoke);
         let Command::Sweep(sa) = parse(&argv("sweep --htm p8")).unwrap() else {
             panic!("expected sweep")
         };
         assert_eq!(sa.spec.cells(), SweepSpec::new().htm(HtmKind::P8).cells());
-        assert!(!sa.smoke);
     }
 
     #[test]
@@ -1204,10 +1131,7 @@ mod tests {
         .unwrap() else {
             panic!("expected trace")
         };
-        assert_eq!(
-            ta.run.cell,
-            Cell::new("vacation").htm(HtmKind::L1Tm).seed(7)
-        );
+        assert_eq!(ta.cell, Cell::new("vacation").htm(HtmKind::L1Tm).seed(7));
         assert_eq!(ta.events, 512);
         assert_eq!(ta.out.as_deref(), Some("/tmp/t"));
 
@@ -1215,7 +1139,7 @@ mod tests {
         let Command::Trace(ta) = parse(&argv("trace --workload kmeans")).unwrap() else {
             panic!("expected trace")
         };
-        assert_eq!(ta.run.cell.workload, "kmeans");
+        assert_eq!(ta.cell.workload, "kmeans");
         assert_eq!(ta.events, 100_000);
         assert_eq!(ta.out, None);
 
@@ -1250,14 +1174,12 @@ mod tests {
         let cmd = parse(&argv(
             "sweep --workloads vacation,labyrinth --htm p8,infcap --hints off,full \
              --seeds 1,2,3 --alloc-colors 0,64,128 --scale large --threads 16 --smt2 \
-             --preserve --sim-threads 2 --jobs 8 --cache-dir /tmp/c --out /tmp/o --csv \
-             --audit --analyze --trace",
+             --preserve --sim-threads 2 --jobs 8 --cache-dir /tmp/c --out /tmp/o --csv",
         ))
         .unwrap();
         let Command::Sweep(sa) = cmd else {
             panic!("expected sweep")
         };
-        assert!(sa.trace && sa.analyze);
         let expected = SweepSpec::new()
             .workloads(["vacation", "labyrinth"])
             .htms([HtmKind::P8, HtmKind::InfCap])
@@ -1272,10 +1194,9 @@ mod tests {
         assert_eq!(sa.spec.cells(), expected.cells());
         assert_eq!(sa.spec.cells().len(), 2 * 2 * 2 * 3 * 3);
         assert_eq!(sa.jobs, Some(8));
-        assert!(sa.csv && sa.audit);
+        assert!(sa.csv && !sa.no_cache);
         assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
         assert_eq!(sa.out.as_deref(), Some("/tmp/o"));
-        assert!(!sa.no_cache && !sa.resume);
     }
 
     #[test]
@@ -1294,8 +1215,12 @@ mod tests {
         assert!(parse(&argv("sweep --sim-threads 0")).is_err());
         assert!(parse(&argv("sweep --jobs nope")).is_err());
         assert!(parse(&argv("sweep --frobnicate")).is_err());
-        assert!(parse(&argv("sweep --no-cache --resume")).is_err());
         assert!(parse(&argv("sweep --exec compiled")).is_err());
+        // Removed flags: the cache always resumes, `--workloads` names a
+        // subset, and `audit`, `analyze` and `trace` are commands.
+        for flag in ["--resume", "--smoke", "--audit", "--analyze", "--trace"] {
+            assert!(parse(&argv(&format!("sweep {flag}"))).is_err(), "{flag}");
+        }
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! are bit-identical across job counts.
 
 use crate::cache::SCHEMA_VERSION;
-use crate::{Cell, CellOutcome, SweepResult};
+use crate::{CellOutcome, SweepResult};
 use hintm::cli::{csv_row, CSV_HEADER};
-use hintm::{cell_to_json, chrome_trace, write_binlog, Json, TraceEvent};
-use hintm_trace::Fnv64;
+use hintm::{cell_to_json, Json};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -108,31 +107,10 @@ pub fn write_artifacts(dir: &Path, name: &str, result: &SweepResult) -> io::Resu
     Ok(paths.to_vec())
 }
 
-/// Writes one traced cell's event stream under `dir`: a Chrome
-/// trace_event JSON (`.trace.json`) and a compact binary log
-/// (`.trace.bin`), named by the FNV-1a hash of the cell's key — the same
-/// addressing scheme the result cache uses. Returns the paths written.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory or a file cannot be
-/// written.
-pub fn write_trace(dir: &Path, cell: &Cell, events: &[TraceEvent]) -> io::Result<[PathBuf; 2]> {
-    fs::create_dir_all(dir)?;
-    let stem = format!("{:016x}", Fnv64::hash(cell.key().as_bytes()));
-    let paths = [
-        dir.join(format!("{stem}.trace.json")),
-        dir.join(format!("{stem}.trace.bin")),
-    ];
-    fs::write(&paths[0], chrome_trace(events))?;
-    fs::write(&paths[1], write_binlog(events))?;
-    Ok(paths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Runner;
+    use crate::{Cell, Runner};
 
     #[test]
     fn artifacts_cover_every_cell() {

@@ -45,7 +45,7 @@ mod artifacts;
 mod cache;
 mod exec;
 
-pub use artifacts::{results_csv, results_json, write_artifacts, write_trace};
+pub use artifacts::{results_csv, results_json, write_artifacts};
 pub use cache::{Cache, CacheStats, WorkloadCacheStats, SCHEMA_VERSION};
 pub use exec::{CellOutcome, CellResult, Runner, SweepResult};
 pub use hintm::{cell_to_json, Cell, SweepSpec};

@@ -144,48 +144,6 @@ fn unknown_workload_crashes_its_cell_only() {
 }
 
 #[test]
-fn traced_sweep_exports_streams_and_changes_no_stats() {
-    let dir = tmp("trace");
-    let cells = &grid()[..2];
-    let trace_dir = dir.join("traces");
-    let traced = Runner::new().no_cache().jobs(2).run_with(cells, |cell| {
-        let (report, rec) = cell.run_traced(4096).unwrap();
-        hintm_runner::write_trace(&trace_dir, cell, &rec.events()).unwrap();
-        report
-    });
-    let plain = Runner::new().no_cache().jobs(2).run(cells);
-    for (t, p) in traced.cells.iter().zip(&plain.cells) {
-        let (tr, pr) = (t.report().unwrap(), p.report().unwrap());
-        assert!(tr.trace.is_some(), "traced report carries the summary");
-        assert!(pr.trace.is_none());
-        // Tracing is passive: the simulation outcome is bit-identical.
-        assert_eq!(format!("{:?}", tr.stats), format!("{:?}", pr.stats));
-    }
-    // Each traced cell exported a Chrome JSON and a binary log.
-    let mut exported: Vec<String> = fs::read_dir(&trace_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    exported.sort();
-    assert_eq!(exported.len(), 4);
-    assert_eq!(
-        exported
-            .iter()
-            .filter(|n| n.ends_with(".trace.bin"))
-            .count(),
-        2
-    );
-    assert_eq!(
-        exported
-            .iter()
-            .filter(|n| n.ends_with(".trace.json"))
-            .count(),
-        2
-    );
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn crashed_cells_are_never_cached() {
     let dir = tmp("crashcache");
     let cell = Cell::new("ssca2");

@@ -239,10 +239,7 @@ mod tests {
                 else {
                     panic!()
                 };
-                assert_eq!(
-                    ta.run.cell, expected,
-                    "`{json}` through `hintm trace {run}`"
-                );
+                assert_eq!(ta.cell, expected, "`{json}` through `hintm trace {run}`");
                 let cmd = parse(&argv(&format!("sweep --workloads kmeans {sweep}"))).unwrap();
                 let Command::Sweep(sa) = cmd else { panic!() };
                 assert_eq!(

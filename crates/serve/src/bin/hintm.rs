@@ -5,7 +5,6 @@
 //! [`hintm::cli::execute`]. See `hintm help` or [`hintm::cli::USAGE`].
 
 use hintm::cli::{self, Command, ServeArgs, SweepArgs};
-use hintm::{Cell, Scale};
 use hintm_runner::{Cache, Runner};
 use hintm_serve::{join_loop, ServeConfig, Server};
 use std::path::PathBuf;
@@ -16,9 +15,7 @@ fn build_runner(sa: &SweepArgs) -> Runner {
         .jobs
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let mut runner = Runner::new().jobs(jobs).progress(true);
-    if sa.no_cache || sa.trace {
-        // Tracing re-simulates every cell: cached results carry no event
-        // stream to export.
+    if sa.no_cache {
         runner = runner.no_cache();
     } else if let Some(dir) = &sa.cache_dir {
         runner = runner.cache(Cache::new(dir));
@@ -26,33 +23,8 @@ fn build_runner(sa: &SweepArgs) -> Runner {
     runner
 }
 
-/// The `hintm sweep --smoke` workload subset: one small workload per
-/// footprint regime (fits / read-heavy / write-present), fast enough for
-/// a CI smoke job.
-const SMOKE_WORKLOADS: [&str; 3] = ["kmeans", "ssca2", "tpcc-p"];
-
 fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
-    let mut spec = sa.spec.clone();
-    if sa.smoke && spec.values("workload").is_empty() {
-        spec = spec.workloads(SMOKE_WORKLOADS);
-    }
-    let cells = spec.cells();
-    let runner = build_runner(sa);
-    let result = if sa.trace {
-        let trace_dir = sa.out.as_ref().map(|o| PathBuf::from(o).join("traces"));
-        runner.run_with(&cells, |cell| {
-            let (report, rec) = cell.run_traced(100_000).unwrap_or_else(|e| panic!("{e}"));
-            if let Some(dir) = &trace_dir {
-                if let Err(e) = hintm_runner::write_trace(dir, cell, &rec.events()) {
-                    eprintln!("warning: trace export failed for {}: {e}", cell.label());
-                }
-            }
-            report
-        })
-    } else {
-        runner.run(&cells)
-    };
-
+    let result = build_runner(sa).run(&sa.spec.cells());
     eprintln!(
         "sweep: {} cells in {:.2}s with {} jobs — {} simulated, {} cached, {} crashed",
         result.cells.len(),
@@ -74,68 +46,6 @@ fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
     }
     if result.crashed > 0 {
         return Err(format!("{} cell(s) crashed", result.crashed));
-    }
-    if sa.audit {
-        audit_sweep(&cells)?;
-    }
-    if sa.analyze {
-        analyze_sweep(&cells)?;
-    }
-    Ok(())
-}
-
-/// Audits every distinct workload a sweep touched: runs the IR verifier,
-/// the lint set, and the dynamic sharing oracle once per workload at the
-/// sweep's first scale and seed (those of its first cell).
-fn audit_sweep(cells: &[Cell]) -> Result<(), String> {
-    let mut names: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    let (scale, seed) = cells
-        .first()
-        .map_or((Scale::Sim, 42), |c| (c.scale, c.seed));
-    eprintln!("{}", cli::audit_header());
-    let mut failed = 0usize;
-    for name in names {
-        match hintm_audit::audit_workload(name, scale, seed) {
-            Some(r) => {
-                eprintln!("{}", cli::audit_row(&r));
-                if !r.passed() {
-                    failed += 1;
-                }
-            }
-            None => return Err(format!("audit: unknown workload `{name}`")),
-        }
-    }
-    if failed > 0 {
-        return Err(format!("{failed} workload(s) failed the audit"));
-    }
-    Ok(())
-}
-
-/// Statically analyzes every distinct workload a sweep touched: footprint
-/// bounds, per-model capacity verdicts, and the hint-inference diff, at
-/// the sweep's first scale. No extra simulator runs.
-fn analyze_sweep(cells: &[Cell]) -> Result<(), String> {
-    let mut names: Vec<&str> = cells.iter().map(|c| c.workload.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    let scale = cells.first().map_or(Scale::Sim, |c| c.scale);
-    eprintln!("{}", cli::analyze_header());
-    let mut failed = 0usize;
-    for name in names {
-        match hintm_audit::analyze_workload(name, scale) {
-            Some(r) => {
-                eprintln!("{}", cli::analyze_row(&r));
-                if !r.passed() {
-                    failed += 1;
-                }
-            }
-            None => return Err(format!("analyze: unknown workload `{name}`")),
-        }
-    }
-    if failed > 0 {
-        return Err(format!("{failed} workload(s) failed the static analysis"));
     }
     Ok(())
 }

@@ -4,7 +4,8 @@
 //! and resubmitting an identical sweep executes zero cells (visible in
 //! `GET /stats`).
 
-use hintm::Json;
+use hintm::cli::{csv_row, CSV_HEADER};
+use hintm::{Cell, HintMode, Json};
 use hintm_runner::{Cache, Runner};
 use hintm_serve::http::client_request;
 use hintm_serve::{join_loop, ServeConfig, Server};
@@ -116,6 +117,29 @@ fn report_csv_is_byte_identical_to_the_sweep_cli() {
         String::from_utf8_lossy(&served),
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+#[test]
+fn sweep_csv_is_the_per_cell_csv_of_in_process_runs() {
+    let workloads = ["kmeans", "ssca2", "tpcc-p"];
+    let out = Command::new(env!("CARGO_BIN_EXE_hintm"))
+        .args(["sweep", "--workloads", &workloads.join(",")])
+        .args(["--hints", "full", "--csv", "--no-cache"])
+        .output()
+        .expect("run hintm sweep");
+    assert!(
+        out.status.success(),
+        "sweep failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut expected = format!("{CSV_HEADER}\n");
+    for name in workloads {
+        let cell = Cell::new(name).hint(HintMode::Full);
+        let report = cell.run().expect("registered workload");
+        expected.push_str(&csv_row(&report, cell.seed));
+        expected.push('\n');
+    }
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
 }
 
 #[test]

@@ -65,11 +65,6 @@ impl RunStats {
         }
     }
 
-    /// Total in-TX accesses in the breakdown.
-    pub fn breakdown_total(&self) -> u64 {
-        self.access_breakdown.iter().sum()
-    }
-
     /// Speedup of this run relative to `baseline` (baseline_time / time).
     pub fn speedup_vs(&self, baseline: &RunStats) -> f64 {
         if self.total_cycles.raw() == 0 {
@@ -130,6 +125,5 @@ mod tests {
         let z = RunStats::default();
         assert_eq!(z.page_mode_fraction(), 0.0);
         assert_eq!(z.speedup_vs(&z), 0.0);
-        assert_eq!(z.breakdown_total(), 0);
     }
 }

@@ -53,14 +53,6 @@ impl TraceBuffer {
         self.events.is_empty()
     }
 
-    /// Retained events belonging to one hardware thread, oldest first.
-    pub fn for_thread(&self, thread: u32) -> Vec<TraceEvent> {
-        self.events()
-            .into_iter()
-            .filter(|e| e.thread().map(|t| t.0) == Some(thread))
-            .collect()
-    }
-
     /// Renders a compact per-thread timeline: time flows left to right in
     /// `buckets` columns; each cell shows the most severe lifecycle event
     /// in the bucket (`F` fallback, `A` capacity abort, `P` page-mode
@@ -165,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_filter() {
+    fn records_events_of_every_thread() {
         let mut b = TraceBuffer::keep_first(16);
         b.record(begin(0, 0));
         b.record(begin(1, 1));
@@ -177,8 +169,6 @@ mod tests {
             footprint: 0,
             retries: 0,
         });
-        assert_eq!(b.for_thread(1).len(), 2);
-        assert_eq!(b.for_thread(0).len(), 1);
         assert_eq!(b.len(), 3);
     }
 

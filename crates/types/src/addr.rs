@@ -29,9 +29,6 @@ pub const PAGE_SHIFT: u32 = 12;
 pub struct Addr(u64);
 
 impl Addr {
-    /// The null address: never returned by the simulated allocator.
-    pub const NULL: Addr = Addr(0);
-
     /// Creates an address from a raw 64-bit value.
     #[inline]
     pub const fn new(raw: u64) -> Self {

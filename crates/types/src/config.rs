@@ -229,12 +229,6 @@ impl MachineConfig {
         self.num_cores * self.smt.ways()
     }
 
-    /// Number of 64-byte blocks in the L1.
-    #[inline]
-    pub fn l1_blocks(&self) -> usize {
-        self.l1_bytes / crate::BLOCK_SIZE
-    }
-
     /// Renders the configuration as the paper's Table II-style summary.
     pub fn table2_summary(&self) -> String {
         format!(
@@ -284,11 +278,6 @@ mod tests {
         assert_eq!(c.hw_threads(), 8);
         c.smt = SmtMode::Smt2;
         assert_eq!(c.hw_threads(), 16);
-    }
-
-    #[test]
-    fn l1_block_count() {
-        assert_eq!(MachineConfig::default().l1_blocks(), 512);
     }
 
     #[test]
