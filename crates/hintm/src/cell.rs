@@ -381,7 +381,6 @@ impl Cell {
         .ok_or_else(|| UnknownWorkload(self.workload.clone()))?;
         w.set_alloc_config(AllocConfig {
             color_stride: self.alloc_color,
-            ..AllocConfig::default()
         });
         Ok(w)
     }

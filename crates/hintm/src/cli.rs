@@ -11,16 +11,19 @@
 //! hintm audit [--workloads a,b | --all] [--seed N] [--scale ...]
 //! hintm trace <workload> [run options] [--events N] [--out <dir>]
 //! hintm sweep [--workloads a,b] [--htm k1,k2] [--hints m1,m2] [--csv]
+//! hintm figures [fig4_p8 ...] [--jobs N] [--no-cache]
 //! ```
 //!
 //! Each job has one command: a whole-suite table is `sweep --csv`, a
-//! timeline is `trace`, and auditing or analyzing workloads is `audit` or
-//! `analyze`. The run-configuration flags are the [`AXES`] table's: one
-//! parser (`axis_flag`) serves `run`, `trace` and `sweep`.
+//! timeline is `trace`, the paper's tables are `figures`, and auditing or
+//! analyzing workloads is `audit` or `analyze`. The run-configuration
+//! flags are the [`AXES`] table's: one parser (`axis_flag`) serves `run`,
+//! `trace` and `sweep`.
 
 use crate::json::{analyze_report_to_json, audit_report_to_json, Json};
 use crate::{
-    chrome_trace, write_binlog, AbortKind, Cell, RunReport, Scale, SweepSpec, AXES, WORKLOAD_NAMES,
+    chrome_trace, figures, write_binlog, AbortKind, Cell, RunReport, Scale, SweepSpec, AXES,
+    FIGURES, WORKLOAD_NAMES,
 };
 use hintm_audit::{AnalyzeReport, AuditReport};
 use std::fmt;
@@ -55,6 +58,8 @@ pub enum Command {
     /// Run a parallel sweep (dispatched by the `hintm` binary in
     /// `hintm-serve`).
     Sweep(SweepArgs),
+    /// Print the paper's tables and figures (dispatched by `hintm-serve`).
+    Figures(FiguresArgs),
     /// Clear the on-disk result cache (dispatched by `hintm-serve`).
     CacheClear {
         /// Cache directory override.
@@ -168,6 +173,31 @@ impl Default for TraceArgs {
     }
 }
 
+/// How `sweep` and `figures` run their cells.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RunnerArgs {
+    /// Worker threads (`None` = the machine's available parallelism).
+    pub jobs: Option<usize>,
+    /// Bypass the result cache entirely.
+    pub no_cache: bool,
+    /// Cache directory override.
+    pub cache_dir: Option<String>,
+}
+
+impl RunnerArgs {
+    /// Applies the runner flag at `args[*i]`, advancing `i` past its
+    /// value; `false` when the argument is not a runner flag.
+    fn flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, CliError> {
+        match args[*i].as_str() {
+            "--jobs" => self.jobs = Some(parsed(args, i)?),
+            "--no-cache" => self.no_cache = true,
+            "--cache-dir" => self.cache_dir = Some(value(args, i)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 /// Options for `hintm sweep`. Parsing lives here with the other commands;
 /// execution lives in the `hintm` binary of the `hintm-serve` crate (which
 /// reaches the runner and its cache), so [`execute`] rejects it. An
@@ -176,16 +206,23 @@ impl Default for TraceArgs {
 pub struct SweepArgs {
     /// The swept axes (see [`AXES`]).
     pub spec: SweepSpec,
-    /// Worker threads (`None` = the machine's available parallelism).
-    pub jobs: Option<usize>,
-    /// Bypass the result cache entirely.
-    pub no_cache: bool,
-    /// Cache directory override.
-    pub cache_dir: Option<String>,
+    /// Jobs and cache.
+    pub runner: RunnerArgs,
     /// Artifact output directory (manifest + CSV/JSON tables).
     pub out: Option<String>,
     /// Also print the results CSV to stdout.
     pub csv: bool,
+}
+
+/// Options for `hintm figures`. Like `sweep`, it is executed by the
+/// `hintm` binary of the `hintm-serve` crate.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FiguresArgs {
+    /// Names of the [`FIGURES`] rows to print, each checked (empty =
+    /// every row).
+    pub names: Vec<String>,
+    /// Jobs and cache.
+    pub runner: RunnerArgs,
 }
 
 /// Options for `hintm run`.
@@ -208,6 +245,7 @@ USAGE:
   hintm analyze [<workload>] [analyze options]
   hintm trace <workload> [options] [trace options]
   hintm sweep [sweep options]
+  hintm figures [<name>...] [--jobs <n>] [--no-cache] [--cache-dir <dir>]
   hintm serve [serve options]
   hintm cache clear [--cache-dir <dir>]
   hintm cache stats [--cache-dir <dir>]
@@ -269,6 +307,13 @@ cells replay, so rerunning an interrupted sweep resumes it):
   --out <dir>              write manifest.json + results.{csv,json} here
   --csv                    also print the results CSV to stdout
 
+FIGURES OPTIONS (the paper's tables and figures, one row each; all cells
+of the selected rows run as one cached batch, then each table prints):
+  <name>...                rows to print, e.g. fig4_p8 (EXPERIMENTS.md
+                           names each row; a wrong name lists them)   [all]
+  --jobs / --no-cache / --cache-dir
+                           as for sweep
+
 SERVE OPTIONS (long-running daemon: HTTP API over a job queue that shares
 the result cache across workers and repeat submissions):
   --addr <host:port>       listen address                     [127.0.0.1:8191]
@@ -301,6 +346,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "analyze" => parse_analyze(&args[1..]),
         "trace" => parse_trace(&args[1..]),
         "sweep" => parse_sweep(&args[1..]),
+        "figures" => parse_figures(&args[1..]),
         "cache" => parse_cache(&args[1..]),
         "serve" => parse_serve(&args[1..]),
         "run" => parse_run(&args[1..]),
@@ -486,13 +532,12 @@ fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
             i += 1;
             continue;
         }
-        match flag.as_str() {
-            "--jobs" => sa.jobs = Some(parsed(args, &mut i)?),
-            "--no-cache" => sa.no_cache = true,
-            "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?),
-            "--out" => sa.out = Some(value(args, &mut i)?),
-            "--csv" => sa.csv = true,
-            other => return Err(CliError(format!("unknown flag `{other}`"))),
+        if !sa.runner.flag(args, &mut i)? {
+            match flag.as_str() {
+                "--out" => sa.out = Some(value(args, &mut i)?),
+                "--csv" => sa.csv = true,
+                other => return Err(CliError(format!("unknown flag `{other}`"))),
+            }
         }
         i += 1;
     }
@@ -502,6 +547,29 @@ fn parse_sweep(args: &[String]) -> Result<Command, CliError> {
         .try_for_each(Cell::check)
         .map_err(CliError)?;
     Ok(Command::Sweep(sa))
+}
+
+fn parse_figures(args: &[String]) -> Result<Command, CliError> {
+    let mut fa = FiguresArgs::default();
+    let mut i = 0;
+    while i < args.len() {
+        if !fa.runner.flag(args, &mut i)? {
+            match args[i].as_str() {
+                name if figures::figure(name).is_some() => fa.names.push(name.to_string()),
+                other if other.starts_with('-') => {
+                    return Err(CliError(format!("unknown flag `{other}`")))
+                }
+                other => {
+                    let known: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+                    return Err(CliError(format!(
+                        "unknown figure `{other}` (expected one of {known:?})"
+                    )));
+                }
+            }
+        }
+        i += 1;
+    }
+    Ok(Command::Figures(fa))
 }
 
 fn parse_cache(args: &[String]) -> Result<Command, CliError> {
@@ -697,11 +765,12 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<(), CliEr
     let io = |e: std::io::Error| CliError(e.to_string());
     match cmd {
         Command::Sweep(_)
+        | Command::Figures(_)
         | Command::Serve(_)
         | Command::CacheClear { .. }
         | Command::CacheStats { .. } => Err(CliError(
-            "`sweep`, `serve`, and `cache` are handled by the hintm binary from \
-             the hintm-serve crate"
+            "`sweep`, `figures`, `serve`, and `cache` are handled by the hintm \
+             binary from the hintm-serve crate"
                 .into(),
         )),
         Command::Help => writeln!(out, "{USAGE}").map_err(io),
@@ -891,6 +960,31 @@ mod tests {
         assert!(parse(&argv("suite")).is_err());
         assert!(parse(&argv("suite --hints full --csv")).is_err());
         assert!(parse(&argv("run --workload kmeans --trace")).is_err());
+        // Each figure row carries its own seeds.
+        assert!(parse(&argv("figures nope")).is_err());
+        assert!(parse(&argv("figures --seeds 1")).is_err());
+    }
+
+    #[test]
+    fn parses_figures_command() {
+        assert_eq!(
+            parse(&argv("figures")).unwrap(),
+            Command::Figures(FiguresArgs::default())
+        );
+        let Command::Figures(fa) = parse(&argv(
+            "figures fig4_p8 variance_check --jobs 2 --no-cache --cache-dir /tmp/c",
+        ))
+        .unwrap() else {
+            panic!("expected figures")
+        };
+        assert_eq!(fa.names, vec!["fig4_p8", "variance_check"]);
+        let runner = RunnerArgs {
+            jobs: Some(2),
+            no_cache: true,
+            cache_dir: Some("/tmp/c".into()),
+        };
+        assert_eq!(fa.runner, runner);
+        assert!(parse(&argv("figures --jobs nope")).is_err());
     }
 
     fn run_cell(args: &str) -> Cell {
@@ -1193,9 +1287,9 @@ mod tests {
             .sim_threads(2);
         assert_eq!(sa.spec.cells(), expected.cells());
         assert_eq!(sa.spec.cells().len(), 2 * 2 * 2 * 3 * 3);
-        assert_eq!(sa.jobs, Some(8));
-        assert!(sa.csv && !sa.no_cache);
-        assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
+        assert_eq!(sa.runner.jobs, Some(8));
+        assert!(sa.csv && !sa.runner.no_cache);
+        assert_eq!(sa.runner.cache_dir.as_deref(), Some("/tmp/c"));
         assert_eq!(sa.out.as_deref(), Some("/tmp/o"));
     }
 
@@ -1296,6 +1390,8 @@ mod tests {
         let mut buf = Vec::new();
         let err = execute(&Command::Sweep(SweepArgs::default()), &mut buf).unwrap_err();
         assert!(err.to_string().contains("hintm-serve"));
+        let figures = Command::Figures(FiguresArgs::default());
+        assert!(execute(&figures, &mut buf).is_err());
         assert!(execute(&Command::CacheClear { dir: None }, &mut buf).is_err());
         assert!(execute(&Command::CacheStats { dir: None }, &mut buf).is_err());
         assert!(execute(&Command::Serve(ServeArgs::default()), &mut buf).is_err());

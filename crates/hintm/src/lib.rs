@@ -39,9 +39,11 @@
 
 pub mod cell;
 pub mod cli;
+pub mod figures;
 pub mod json;
 
 pub use cell::{cell_from_json, cell_to_json, Axis, Cell, SweepSpec, AXES};
+pub use figures::{Figure, FIGURES};
 
 pub use hintm_htm::{HtmConfig, HtmKind};
 pub use hintm_sim::{

@@ -168,16 +168,11 @@ impl AddressSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `num_threads` is 0 or exceeds 1024, or if `alloc.align`
-    /// is not a power of two ≥ 16.
+    /// Panics if `num_threads` is 0 or exceeds 1024.
     pub fn with_config(num_threads: usize, alloc: AllocConfig) -> Self {
         assert!(
             num_threads > 0 && num_threads <= 1024,
             "unsupported thread count"
-        );
-        assert!(
-            alloc.align >= 16 && alloc.align.is_power_of_two(),
-            "alloc.align must be a power of two >= 16"
         );
         AddressSpace {
             num_threads,
@@ -235,7 +230,7 @@ impl AddressSpace {
         // Placement policy applies to fresh bump space only: recycled
         // chunks keep their addresses, so committed program state is
         // placement-independent.
-        let off = round_up(arena.bump, self.alloc.align);
+        let off = round_up(arena.bump, 16);
         arena.bump = (off + cls)
             .checked_add(self.alloc.color_stride)
             .filter(|&b| b <= HEAP_ARENA_SIZE)
@@ -449,13 +444,7 @@ mod tests {
     #[test]
     fn color_stride_shears_fresh_allocations() {
         let mut plain = AddressSpace::new(1);
-        let mut colored = AddressSpace::with_config(
-            1,
-            AllocConfig {
-                color_stride: 48,
-                align: 16,
-            },
-        );
+        let mut colored = AddressSpace::with_config(1, AllocConfig { color_stride: 48 });
         let (a0, a1) = (plain.halloc(ThreadId(0), 32), plain.halloc(ThreadId(0), 32));
         let (b0, b1) = (
             colored.halloc(ThreadId(0), 32),
@@ -477,26 +466,9 @@ mod tests {
             1,
             AllocConfig {
                 color_stride: u64::MAX,
-                align: 16,
             },
         );
         s.halloc(ThreadId(0), 32);
-    }
-
-    #[test]
-    fn alloc_align_rounds_fresh_allocations() {
-        let mut s = AddressSpace::with_config(
-            1,
-            AllocConfig {
-                color_stride: 0,
-                align: 64,
-            },
-        );
-        let a = s.halloc(ThreadId(0), 8);
-        let b = s.halloc(ThreadId(0), 8);
-        assert_eq!(a.raw() % 64, 0);
-        assert_eq!(b.raw() % 64, 0);
-        assert_eq!(b.raw() - a.raw(), 64);
     }
 
     #[test]
@@ -506,19 +478,7 @@ mod tests {
         for i in 1..20u64 {
             assert_eq!(a.halloc(ThreadId(0), i * 24), b.halloc(ThreadId(0), i * 24));
         }
-        assert!(a.alloc_config().is_default());
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_align_panics() {
-        let _ = AddressSpace::with_config(
-            1,
-            AllocConfig {
-                color_stride: 0,
-                align: 24,
-            },
-        );
+        assert_eq!(a.alloc_config(), AllocConfig::default());
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl SweepResult {
     }
 
     /// The report for `cell`, panicking with the cell's label (and the
-    /// crash message, if it crashed) when absent. For harnesses that
+    /// crash message, if it crashed) when absent. For callers that
     /// cannot proceed without the result.
     pub fn expect_report(&self, cell: &Cell) -> &RunReport {
         let key = cell.key();
@@ -124,22 +124,6 @@ impl Runner {
             cache: Some(Cache::new(Cache::default_dir())),
             progress: false,
         }
-    }
-
-    /// A runner configured from the environment: `$HINTM_JOBS` (default:
-    /// the machine's available parallelism) and `$HINTM_CACHE_DIR` /
-    /// `$HINTM_NO_CACHE=1` for the cache. This is what the bench
-    /// harnesses use, so figure regeneration scales with the machine.
-    pub fn from_env() -> Runner {
-        let jobs = std::env::var("HINTM_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let mut r = Runner::new().jobs(jobs);
-        if std::env::var_os("HINTM_NO_CACHE").is_some_and(|v| v == "1") {
-            r = r.no_cache();
-        }
-        r
     }
 
     /// Sets the worker-thread count (clamped to at least 1).

@@ -1,9 +1,9 @@
 //! # hintm-runner — parallel sweep orchestration with an on-disk cache
 //!
 //! The reproduction's experiment space is a grid: `(workload, HTM kind,
-//! hint mode, input scale, seed)`. Every figure harness and the CLI used
-//! to walk their slice of that grid serially and from scratch. This crate
-//! factors the walking out (std-only, no new dependencies):
+//! hint mode, input scale, seed)`. The figure table and the CLI each need
+//! a slice of that grid; this crate walks it (std-only, no new
+//! dependencies):
 //!
 //! * [`SweepSpec`] / [`Cell`] — enumerate a sweep's cells (cross product,
 //!   stable order, deduplicated); both live in the `hintm` crate beside
@@ -20,9 +20,9 @@
 //!
 //! The `hintm` binary (in the `hintm-serve` crate, which layers a
 //! sweep-as-a-service daemon over this executor) fronts it with
-//! `hintm sweep`, `hintm serve` and `hintm cache clear|stats`; the figure
-//! harnesses in `hintm-bench` feed their cell grids through
-//! [`Runner::from_env`], so `HINTM_JOBS=8` parallelizes figure
+//! `hintm sweep`, `hintm figures`, `hintm serve` and `hintm cache
+//! clear|stats`. `hintm figures` runs the cells of the `hintm::FIGURES`
+//! rows it prints as one batch, so `--jobs 8` parallelizes figure
 //! regeneration and a warm cache makes reruns instant.
 //!
 //! ```no_run

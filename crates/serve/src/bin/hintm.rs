@@ -1,32 +1,35 @@
 //! The `hintm` command-line tool: run reproduction experiments from the
 //! shell. Lives in the serve crate — the top of the runner stack — so
-//! `hintm sweep` / `hintm cache` can reach the orchestration layer and
-//! `hintm serve` the daemon; everything else is delegated to
-//! [`hintm::cli::execute`]. See `hintm help` or [`hintm::cli::USAGE`].
+//! `hintm sweep` / `hintm figures` / `hintm cache` can reach the
+//! orchestration layer and `hintm serve` the daemon; everything else is
+//! delegated to [`hintm::cli::execute`]. See `hintm help` or
+//! [`hintm::cli::USAGE`].
 
-use hintm::cli::{self, Command, ServeArgs, SweepArgs};
-use hintm_runner::{Cache, Runner};
+use hintm::cli::{self, Command, FiguresArgs, RunnerArgs, ServeArgs, SweepArgs};
+use hintm::figures::{self, Figure, FIGURES};
+use hintm::MachineConfig;
+use hintm_runner::{Cache, Runner, SweepResult};
 use hintm_serve::{join_loop, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn build_runner(sa: &SweepArgs) -> Runner {
-    let jobs = sa
+fn build_runner(ra: &RunnerArgs) -> Runner {
+    let jobs = ra
         .jobs
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let mut runner = Runner::new().jobs(jobs).progress(true);
-    if sa.no_cache {
+    if ra.no_cache {
         runner = runner.no_cache();
-    } else if let Some(dir) = &sa.cache_dir {
+    } else if let Some(dir) = &ra.cache_dir {
         runner = runner.cache(Cache::new(dir));
     }
     runner
 }
 
-fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
-    let result = build_runner(sa).run(&sa.spec.cells());
+/// The stderr line that closes a batch.
+fn summarize(command: &str, result: &SweepResult) {
     eprintln!(
-        "sweep: {} cells in {:.2}s with {} jobs — {} simulated, {} cached, {} crashed",
+        "{command}: {} cells in {:.2}s with {} jobs — {} simulated, {} cached, {} crashed",
         result.cells.len(),
         result.wall.as_secs_f64(),
         result.jobs,
@@ -34,6 +37,11 @@ fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
         result.cache_hits,
         result.crashed,
     );
+}
+
+fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
+    let result = build_runner(&sa.runner).run(&sa.spec.cells());
+    summarize("sweep", &result);
     if let Some(out) = &sa.out {
         let paths = hintm_runner::write_artifacts(&PathBuf::from(out), "sweep", &result)
             .map_err(|e| format!("writing artifacts to {out}: {e}"))?;
@@ -46,6 +54,30 @@ fn run_sweep(sa: &SweepArgs) -> Result<(), String> {
     }
     if result.crashed > 0 {
         return Err(format!("{} cell(s) crashed", result.crashed));
+    }
+    Ok(())
+}
+
+/// `hintm figures`: the selected rows' cells as one batch, then the
+/// Table II machine summary and each row's table.
+fn run_figures(fa: &FiguresArgs) -> Result<(), String> {
+    let rows: Vec<&Figure> = if fa.names.is_empty() {
+        FIGURES.iter().collect()
+    } else {
+        fa.names
+            .iter()
+            .map(|n| figures::figure(n).expect("parse checked the name"))
+            .collect()
+    };
+    let result = build_runner(&fa.runner).run(&figures::batch(&rows));
+    summarize("figures", &result);
+    if result.crashed > 0 {
+        return Err(format!("{} cell(s) crashed", result.crashed));
+    }
+    println!("{}", MachineConfig::default().table2_summary());
+    println!();
+    for row in rows {
+        print!("{}", (row.render)(&|c| result.expect_report(c)));
     }
     Ok(())
 }
@@ -146,6 +178,7 @@ fn main() -> ExitCode {
     };
     let result = match &cmd {
         Command::Sweep(sa) => run_sweep(sa),
+        Command::Figures(fa) => run_figures(fa),
         Command::CacheClear { dir } => clear_cache(dir.as_deref()),
         Command::CacheStats { dir } => cache_stats(dir.as_deref()),
         Command::Serve(sa) => serve(sa),

@@ -104,50 +104,23 @@ impl fmt::Display for SmtMode {
 /// Heap-placement policy for the simulated allocator (the Dice et al.
 /// malloc-placement sensitivity axis).
 ///
-/// `align` rounds every fresh heap allocation up to the given power-of-two
-/// boundary; `color_stride` adds that many bytes of padding after each fresh
-/// allocation, shearing consecutive objects across cache blocks ("coloring").
-/// Both act on fresh bump allocations only — recycled chunks keep their
-/// addresses — so committed program state is placement-independent while
-/// transactional footprints (and hence capacity aborts) are not.
+/// `color_stride` adds that many bytes of padding after each fresh heap
+/// allocation, shearing consecutive objects across cache blocks
+/// ("coloring"). It acts on fresh bump allocations only — recycled chunks
+/// keep their addresses — so committed program state is
+/// placement-independent while transactional footprints (and hence
+/// capacity aborts) are not.
 ///
 /// # Examples
 ///
 /// ```
 /// use hintm_types::AllocConfig;
-/// let cfg = AllocConfig::default();
-/// assert_eq!((cfg.color_stride, cfg.align), (0, 16));
-/// assert!(cfg.is_default());
+/// assert_eq!(AllocConfig::default().color_stride, 0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub struct AllocConfig {
     /// Padding bytes inserted after each fresh heap allocation.
     pub color_stride: u64,
-    /// Minimum alignment of fresh heap allocations (power of two, ≥ 16).
-    pub align: u64,
-}
-
-impl Default for AllocConfig {
-    fn default() -> Self {
-        AllocConfig {
-            color_stride: 0,
-            align: 16,
-        }
-    }
-}
-
-impl AllocConfig {
-    /// `true` when this is the baseline placement (no coloring, 16-byte
-    /// alignment) every historical run used.
-    pub fn is_default(&self) -> bool {
-        *self == AllocConfig::default()
-    }
-}
-
-impl fmt::Display for AllocConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "color={}/align={}", self.color_stride, self.align)
-    }
 }
 
 /// The simulated machine parameters (paper Table II plus the HinTM cost

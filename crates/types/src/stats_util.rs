@@ -1,5 +1,5 @@
-//! Small statistics helpers shared by the simulator and the benchmark
-//! harnesses: ratios, geometric means, and CDF construction.
+//! Small statistics helpers shared by the simulator and the figure
+//! table: ratios, geometric means, and CDF construction.
 
 /// Returns `num / den` as an `f64`, or 0.0 when the denominator is zero.
 ///
