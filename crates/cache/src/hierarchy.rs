@@ -1,7 +1,7 @@
 //! The two-level coherent hierarchy: per-core L1s, shared L2, snoopy MESI.
 
 use crate::set_assoc::{MesiState, SetAssocCache};
-use hintm_types::{AccessKind, BlockAddr, CoreId, Cycles, MachineConfig};
+use hintm_types::{AccessKind, BlockAddr, BlockDir, CoreId, Cycles, MachineConfig};
 
 /// The result of one memory access through the hierarchy.
 #[derive(Clone, Debug, Default)]
@@ -74,134 +74,6 @@ struct Sharers {
     dirty: u64,
 }
 
-/// An exact sharer directory: open-addressed map from block index to
-/// [`Sharers`], mirroring the per-L1 MESI states. Replaces the miss path's
-/// all-core snoop (`cores × ways` tag compares per miss) and lets
-/// invalidations visit only actual holders. Same table design as the HTM
-/// crate's `BlockSet`: power-of-two slots, Fibonacci multiplicative hash,
-/// linear probing, backward-shift deletion.
-#[derive(Clone, Debug)]
-struct BlockDir {
-    keys: Vec<u64>,
-    vals: Vec<Sharers>,
-    live: Vec<bool>,
-    mask: usize,
-    shift: u32,
-    len: usize,
-}
-
-/// Multiplier for the Fibonacci-style multiplicative hash (2⁶⁴/φ).
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl BlockDir {
-    fn new() -> Self {
-        Self::with_slots(1024)
-    }
-
-    fn with_slots(slots: usize) -> Self {
-        debug_assert!(slots.is_power_of_two());
-        BlockDir {
-            keys: vec![0; slots],
-            vals: vec![Sharers::default(); slots],
-            live: vec![false; slots],
-            mask: slots - 1,
-            shift: 64 - slots.trailing_zeros(),
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn probe(&self, key: u64) -> (usize, bool) {
-        let mut i = self.home(key);
-        loop {
-            if !self.live[i] {
-                return (i, false);
-            }
-            if self.keys[i] == key {
-                return (i, true);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// The sharer set of `block` (empty if untracked).
-    #[inline]
-    fn get(&self, block: BlockAddr) -> Sharers {
-        let (i, hit) = self.probe(block.index());
-        if hit {
-            self.vals[i]
-        } else {
-            Sharers::default()
-        }
-    }
-
-    /// Applies `f` to `block`'s sharer set, inserting or removing the
-    /// entry as the result becomes non-empty or empty.
-    fn update(&mut self, block: BlockAddr, f: impl FnOnce(&mut Sharers)) {
-        let key = block.index();
-        let (i, hit) = self.probe(key);
-        if hit {
-            f(&mut self.vals[i]);
-            debug_assert_eq!(self.vals[i].excl & !self.vals[i].valid, 0);
-            debug_assert_eq!(self.vals[i].dirty & !self.vals[i].excl, 0);
-            if self.vals[i].valid == 0 {
-                self.remove_at(i);
-            }
-            return;
-        }
-        let mut s = Sharers::default();
-        f(&mut s);
-        if s.valid == 0 {
-            return;
-        }
-        if (self.len + 1) * 4 > (self.mask + 1) * 3 {
-            self.grow();
-        }
-        let (i, _) = self.probe(key);
-        self.keys[i] = key;
-        self.vals[i] = s;
-        self.live[i] = true;
-        self.len += 1;
-    }
-
-    fn grow(&mut self) {
-        let mut bigger = Self::with_slots((self.mask + 1) * 2);
-        for i in 0..=self.mask {
-            if self.live[i] {
-                let (j, _) = bigger.probe(self.keys[i]);
-                bigger.keys[j] = self.keys[i];
-                bigger.vals[j] = self.vals[i];
-                bigger.live[j] = true;
-                bigger.len += 1;
-            }
-        }
-        *self = bigger;
-    }
-
-    /// Backward-shift deletion at slot `hole`, keeping probe chains gapless.
-    fn remove_at(&mut self, mut hole: usize) {
-        self.live[hole] = false;
-        self.len -= 1;
-        let mut j = (hole + 1) & self.mask;
-        while self.live[j] {
-            let home = self.home(self.keys[j]);
-            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
-                self.keys[hole] = self.keys[j];
-                self.vals[hole] = self.vals[j];
-                self.live[hole] = true;
-                self.live[j] = false;
-                hole = j;
-            }
-            j = (j + 1) & self.mask;
-        }
-    }
-}
-
 /// A coherent two-level cache hierarchy (Table II).
 ///
 /// See the crate docs for an example.
@@ -215,8 +87,10 @@ pub struct Hierarchy {
     stats: CacheStats,
     /// Per-core repeated-access fast path (see [`BlockMemo`]).
     memos: Vec<Option<BlockMemo>>,
-    /// Exact sharer directory over all L1s (see [`BlockDir`]).
-    dir: BlockDir,
+    /// Exact sharer directory over all L1s, mirroring the per-L1 MESI
+    /// states. Replaces the miss path's all-core snoop (`cores × ways` tag
+    /// compares per miss) and lets invalidations visit only actual holders.
+    dir: BlockDir<Sharers>,
 }
 
 impl Hierarchy {
@@ -320,7 +194,7 @@ impl Hierarchy {
                 out.l1_hit = true;
                 out.latency = self.l1_latency;
                 self.l1s[ci].set_state_at(line.unwrap(), MesiState::Modified);
-                self.dir.update(block, |s| s.dirty |= 1 << ci);
+                self.update_dir(block, |s| s.dirty |= 1 << ci);
             }
             // Store hit without ownership: upgrade, invalidating sharers.
             (AccessKind::Store, MesiState::Shared) => {
@@ -330,7 +204,7 @@ impl Hierarchy {
                 out.latency = self.l2_latency;
                 self.invalidate_remote(core, block, out);
                 self.l1s[ci].set_state_at(line.unwrap(), MesiState::Modified);
-                self.dir.update(block, |s| {
+                self.update_dir(block, |s| {
                     s.excl |= 1 << ci;
                     s.dirty |= 1 << ci;
                 });
@@ -385,7 +259,7 @@ impl Hierarchy {
                     self.stats.peer_transfers += 1;
                     self.l1s[p].set_state(block, MesiState::Shared);
                     self.clear_memo(p, block);
-                    self.dir.update(block, |s| {
+                    self.update_dir(block, |s| {
                         s.dirty &= !(1 << p);
                         s.excl &= !(1 << p);
                     });
@@ -406,7 +280,7 @@ impl Hierarchy {
                         self.clear_memo(s, block);
                     }
                     if sh.excl != 0 {
-                        self.dir.update(block, |s| s.excl = 0);
+                        self.update_dir(block, |s| s.excl = 0);
                     }
                     latency = self.l2_latency;
                     install_state = MesiState::Shared;
@@ -444,7 +318,7 @@ impl Hierarchy {
 
         if let Some((victim, vstate)) = self.l1s[ci].install(block, install_state) {
             out.l1_victim = Some(victim);
-            self.dir.update(victim, |s| {
+            self.update_dir(victim, |s| {
                 s.valid &= !(1 << ci);
                 s.excl &= !(1 << ci);
                 s.dirty &= !(1 << ci);
@@ -454,7 +328,7 @@ impl Hierarchy {
                 self.ensure_l2(victim);
             }
         }
-        self.dir.update(block, |s| {
+        self.update_dir(block, |s| {
             s.valid |= 1 << ci;
             match install_state {
                 MesiState::Modified => {
@@ -489,7 +363,7 @@ impl Hierarchy {
                 self.ensure_l2(block);
             }
         }
-        self.dir.update(block, |s| {
+        self.update_dir(block, |s| {
             s.valid &= me;
             s.excl &= me;
             s.dirty &= me;
@@ -515,7 +389,7 @@ impl Hierarchy {
         let prev = self.l1s[core.index()].invalidate(block);
         if prev.is_valid() {
             let me = 1u64 << core.index();
-            self.dir.update(block, |s| {
+            self.update_dir(block, |s| {
                 s.valid &= !me;
                 s.excl &= !me;
                 s.dirty &= !me;
@@ -530,6 +404,16 @@ impl Hierarchy {
         if self.memos[i].is_some_and(|m| m.block == block) {
             self.memos[i] = None;
         }
+    }
+
+    /// Applies `f` to `block`'s sharer masks; the directory drops the entry
+    /// once no core holds the block.
+    fn update_dir(&mut self, block: BlockAddr, f: impl FnOnce(&mut Sharers)) {
+        self.dir.update(block, |s| {
+            f(s);
+            debug_assert_eq!(s.excl & !s.valid, 0);
+            debug_assert_eq!(s.dirty & !s.excl, 0);
+        });
     }
 }
 

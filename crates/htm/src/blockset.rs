@@ -289,6 +289,9 @@ impl BlockSet {
 
     /// Visits every tracked block as `(block, read, write)`, in slot order.
     pub fn for_each(&self, mut f: impl FnMut(BlockAddr, bool, bool)) {
+        if self.len == 0 {
+            return;
+        }
         for i in 0..=self.mask {
             if self.gens[i] == self.gen {
                 f(

@@ -344,6 +344,12 @@ impl HtmThread {
         self.tracker.write_blocks_into(out);
     }
 
+    /// Visits every block of the precise read and write sets (see
+    /// [`Tracker::for_each_block`]).
+    pub(crate) fn for_each_block(&self, f: impl FnMut(BlockAddr)) {
+        self.tracker.for_each_block(f);
+    }
+
     /// Precise tracked footprint (readset ∪ writeset, in blocks).
     pub fn footprint(&self) -> usize {
         self.tracker.footprint()

@@ -21,10 +21,11 @@
 //! classifier) skip tracking entirely ([`HtmThread::on_access`] with
 //! `safe = true`), which is the whole §IV-C hardware change.
 //!
-//! Conflict *detection* is eager and lives in the simulator's coherence
-//! layer; this crate answers the membership queries ("does thread X's
-//! readset cover block B?") including signature false positives, and keeps
-//! precise shadow sets so aborts can be classified as genuine or false.
+//! Conflict *detection* is eager and driven by the simulator; this crate
+//! answers the membership queries ("does thread X's readset cover block
+//! B?") including signature false positives, keeps precise shadow sets so
+//! aborts can be classified as genuine or false, and keeps the
+//! [`ConflictDir`] that finds every conflicting peer in one probe.
 //!
 //! # Examples
 //!
@@ -42,11 +43,13 @@
 //! ```
 
 pub mod blockset;
+pub mod conflict;
 pub mod controller;
 pub mod signature;
 pub mod tracker;
 
 pub use blockset::BlockSet;
+pub use conflict::ConflictDir;
 pub use controller::{HtmConfig, HtmKind, HtmThread, HtmThreadStats, TxPhase};
 pub use signature::Signature;
 pub use tracker::{CapacityAbort, Tracker};

@@ -2,10 +2,11 @@
 //!
 //! All backends store their read/write sets in the flat, open-addressed
 //! [`BlockSet`] (see `blockset.rs`) rather than `HashMap<BlockAddr, Rw>`:
-//! tracker queries sit on the simulator's innermost loop (several
-//! membership probes per memory access for conflict detection), and the
-//! flat table turns each probe into a multiplicative hash plus a short
-//! linear scan.
+//! tracker updates sit on the simulator's innermost loop (every tracked
+//! access), and the flat table turns each probe into a multiplicative
+//! hash plus a short linear scan. Conflict detection asks the
+//! [`ConflictDir`](crate::ConflictDir) instead of each tracker; only P8S
+//! and LRWS stores still probe each peer's signature.
 
 use crate::blockset::BlockSet;
 use crate::signature::Signature;
@@ -479,6 +480,20 @@ impl Tracker {
                 out.push(b);
             }
         });
+    }
+
+    /// Visits every block of the precise read and write sets. A spilled
+    /// or shed read that a later write brought back into the buffer is
+    /// visited twice.
+    pub(crate) fn for_each_block(&self, mut f: impl FnMut(BlockAddr)) {
+        self.entries().for_each(|b, _, _| f(b));
+        match &self.0 {
+            Backend::P8Sig { overflow_reads, .. } | Backend::Lrws { overflow_reads, .. } => {
+                overflow_reads.for_each(|b, _, _| f(b))
+            }
+            Backend::PStretch { stretched, .. } => stretched.for_each(|b, _, _| f(b)),
+            _ => {}
+        }
     }
 
     /// Precise readset size in blocks (including signature-spilled reads).

@@ -189,11 +189,6 @@ impl AddressSpace {
         self.num_threads
     }
 
-    /// The heap-placement policy this space was created with.
-    pub fn alloc_config(&self) -> AllocConfig {
-        self.alloc
-    }
-
     /// Allocates `size` bytes from the global segment (16-byte aligned).
     ///
     /// Used for statics and data that is logically part of the program image
@@ -478,7 +473,6 @@ mod tests {
         for i in 1..20u64 {
             assert_eq!(a.halloc(ThreadId(0), i * 24), b.halloc(ThreadId(0), i * 24));
         }
-        assert_eq!(a.alloc_config(), AllocConfig::default());
     }
 
     #[test]

@@ -14,13 +14,20 @@
 //! # Hot-path structure
 //!
 //! The scheduler loop is monomorphized over the sink (`NoSink` for untraced
-//! runs compiles every event construction away), executes pre-resolved
+//! runs compiles every event construction away) and executes pre-resolved
 //! programs (no per-access hint-set searches; programs are reused verbatim
-//! across retries), and keeps a *same-thread fast path*: after a step that
-//! touched no other thread's clock/state and no lock state, the scheduler
-//! re-picks the same thread without rescanning as long as its new ready
-//! time still beats the second-best candidate from the last full scan
-//! (ties broken toward the lower index, exactly like the scan itself).
+//! across retries). Its per-step bookkeeping does not grow with the
+//! thread count:
+//!
+//! * **Ready times.** `Engine::ready` holds each thread's earliest run
+//!   time, or `u64::MAX` when it is parked, done or blocked on a held
+//!   lock. The scheduler picks its first minimum (lowest index wins
+//!   ties). A step that touched only its own thread refreshes one entry;
+//!   aborts, shootdowns and lock hand-offs refresh them all.
+//! * **Conflict directory.** A [`ConflictDir`] maps each block to the
+//!   active transactions that precisely read or write it, so eager
+//!   conflict detection is one probe per access rather than one per
+//!   active peer (P8S and LRWS stores still ask each peer's signature).
 //!
 //! Sections replay from their lowered [`crate::AccessProgram`]s (see
 //! [`crate::compile`]): one packed slot per scheduling step, whose opword
@@ -35,7 +42,7 @@ use crate::config::SimConfig;
 use crate::section::Workload;
 use crate::stats::RunStats;
 use hintm_cache::{AccessOutcome, Hierarchy};
-use hintm_htm::{HtmKind, HtmThread};
+use hintm_htm::{ConflictDir, HtmKind, HtmThread};
 use hintm_trace::{TraceEvent, TraceSink};
 use hintm_types::{
     AbortKind, AccessKind, BlockAddr, ConflictPolicy, CoreId, Cycles, MemAccess, PageId, ThreadId,
@@ -123,7 +130,8 @@ enum StepOutcome {
 struct EngineScratch {
     /// Cache access result ([`Hierarchy::access_into`] target).
     outcome: AccessOutcome,
-    /// Conflict victims gathered in step 4 of `exec_access`.
+    /// Conflict victims gathered in step 4 of `exec_access`, in
+    /// ascending thread order.
     victims: Vec<(usize, AbortKind)>,
     /// Threads whose tracker lost a block to an L1 eviction (step 5).
     evicted: Vec<usize>,
@@ -275,9 +283,15 @@ struct Engine<'e, S: SinkPort> {
     /// Bitmask of threads with an active hardware transaction, kept in
     /// lockstep with `HtmThread::is_active` (set in `try_begin_tx`,
     /// cleared on commit and in `abort_thread`). Lets the per-access
-    /// conflict/eviction/shootdown scans visit only transactional threads
-    /// instead of probing every controller.
+    /// eviction/shootdown scans visit only transactional threads instead
+    /// of probing every controller.
     active: u64,
+    /// Which active transactions precisely read or write each block:
+    /// recorded after every tracked access, released at commit and abort.
+    conflicts: ConflictDir,
+    /// Per-thread time at which the scheduler may next step the thread
+    /// (see [`Engine::ready_at`]); `u64::MAX` when it cannot run.
+    ready: Vec<u64>,
     sink: S,
     /// Retired programs whose slot buffers new sections lower into, so
     /// steady-state section lowering allocates nothing. Capped at the
@@ -290,8 +304,8 @@ struct Engine<'e, S: SinkPort> {
     steps: u64,
     epoch: u32,
     /// `true` while the current step has not (a) touched another thread's
-    /// clock/mode/resume time or (b) mutated the fallback-lock state. The
-    /// scheduler's same-thread fast path is valid only while this holds.
+    /// clock/mode/resume time or (b) mutated the fallback-lock state. While
+    /// it holds, only the stepped thread's `ready` entry can have changed.
     local_only: bool,
 }
 
@@ -322,6 +336,8 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             lock_free_at: Cycles::ZERO,
             scratch: EngineScratch::default(),
             active: 0,
+            conflicts: ConflictDir::new(cfg.htm.kind),
+            ready: vec![0; n],
             sink,
             pool: Vec::new(),
             uses_dynamic: cfg.hint_mode.uses_dynamic(),
@@ -334,120 +350,84 @@ impl<'e, S: SinkPort> Engine<'e, S> {
     }
 
     fn run(&mut self, workload: &mut dyn Workload, resolver: &Resolver) {
-        'scan: loop {
+        loop {
             self.steps += 1;
             assert!(self.steps <= MAX_STEPS, "engine exceeded MAX_STEPS");
 
-            // Full scan: the runnable thread with the smallest ready time
-            // (first-seen wins ties, i.e. lowest index), plus the runner-up
-            // for the same-thread fast path below.
-            let mut pick: Option<(usize, Cycles)> = None;
-            let mut second: Option<(usize, Cycles)> = None;
-            let mut all_done = true;
-            let mut all_parked = true;
-            for (i, t) in self.threads.iter().enumerate() {
-                let ready = match t.mode {
-                    Mode::Done => continue,
-                    Mode::AtBarrier => {
-                        all_done = false;
-                        continue;
-                    }
-                    Mode::WaitLockHtm | Mode::WaitLockFallback => {
-                        all_done = false;
-                        if self.lock_holder.is_some() {
-                            continue;
-                        }
-                        t.clock.max(self.lock_free_at)
-                    }
-                    Mode::WaitRetry => {
-                        all_done = false;
-                        t.clock.max(t.resume_at)
-                    }
-                    _ => {
-                        all_done = false;
-                        t.clock
-                    }
-                };
-                all_parked = false;
-                match pick {
-                    None => pick = Some((i, ready)),
-                    Some((_, best)) if ready < best => {
-                        second = pick;
-                        pick = Some((i, ready));
-                    }
-                    _ => match second {
-                        Some((_, s2)) if ready >= s2 => {}
-                        _ => second = Some((i, ready)),
-                    },
+            // The runnable thread with the smallest ready time; the first
+            // minimum wins ties, i.e. the lowest index.
+            let (mut i, mut ready) = (0, u64::MAX);
+            for (j, &r) in self.ready.iter().enumerate() {
+                if r < ready {
+                    (i, ready) = (j, r);
                 }
             }
-
-            let Some((i, ready)) = pick else {
-                if all_done {
+            if ready == u64::MAX {
+                if self.threads.iter().all(|t| t.mode == Mode::Done) {
                     break;
                 }
-                if all_parked {
-                    // Either everyone is at the barrier (release it) or we
-                    // are deadlocked.
-                    let any_barrier = self.threads.iter().any(|t| t.mode == Mode::AtBarrier);
-                    assert!(any_barrier, "engine deadlock: no runnable threads");
-                    let release = self
-                        .threads
-                        .iter()
-                        .filter(|t| t.mode == Mode::AtBarrier)
-                        .map(|t| t.clock)
-                        .fold(Cycles::ZERO, Cycles::max);
-                    for t in &mut self.threads {
-                        if t.mode == Mode::AtBarrier {
-                            t.clock = release;
-                            t.mode = Mode::Idle;
-                        }
+                // Nothing can run: either everyone left is at the barrier
+                // (release it) or we are deadlocked.
+                let any_barrier = self.threads.iter().any(|t| t.mode == Mode::AtBarrier);
+                assert!(any_barrier, "engine deadlock: no runnable threads");
+                let release = self
+                    .threads
+                    .iter()
+                    .filter(|t| t.mode == Mode::AtBarrier)
+                    .map(|t| t.clock)
+                    .fold(Cycles::ZERO, Cycles::max);
+                for t in &mut self.threads {
+                    if t.mode == Mode::AtBarrier {
+                        t.clock = release;
+                        t.mode = Mode::Idle;
                     }
-                    if S::ENABLED {
-                        self.sink.emit(TraceEvent::BarrierRelease {
-                            at: release,
-                            epoch: self.epoch,
-                        });
-                    }
-                    self.epoch += 1;
-                    continue;
                 }
-                unreachable!("pick is None only when all threads are parked or done");
-            };
+                if S::ENABLED {
+                    self.sink.emit(TraceEvent::BarrierRelease {
+                        at: release,
+                        epoch: self.epoch,
+                    });
+                }
+                self.epoch += 1;
+                self.refresh_all();
+                continue;
+            }
 
-            self.threads[i].clock = ready;
+            self.threads[i].clock = Cycles(ready);
             self.local_only = true;
             self.step(i, workload, resolver);
-
-            // Same-thread fast path: keep stepping `i` without a rescan as
-            // long as (a) the step changed nothing outside thread `i` and
-            // the lock state, and (b) `i`'s new ready time still wins
-            // against the scan's runner-up under the scan's tie rule.
-            // Interactions that could *unblock* other threads all clear
-            // `local_only`, and lock acquisition by `i` can only shrink
-            // the runnable set, so the cached runner-up stays a lower
-            // bound on every other thread's ready time.
-            loop {
-                if !self.local_only {
-                    continue 'scan;
-                }
-                let t = &self.threads[i];
-                let ready = match t.mode {
-                    Mode::Idle | Mode::InTx | Mode::InFallback | Mode::NonTx => t.clock,
-                    Mode::WaitRetry => t.clock.max(t.resume_at),
-                    _ => continue 'scan,
-                };
-                if let Some((j2, r2)) = second {
-                    if !(ready < r2 || (ready == r2 && i < j2)) {
-                        continue 'scan;
-                    }
-                }
-                self.threads[i].clock = ready;
-                self.steps += 1;
-                assert!(self.steps <= MAX_STEPS, "engine exceeded MAX_STEPS");
-                self.local_only = true;
-                self.step(i, workload, resolver);
+            // Interactions that could change another thread's ready time
+            // (aborts, shootdowns, lock hand-offs) all clear `local_only`.
+            if self.local_only {
+                self.ready[i] = self.ready_at(i);
+            } else {
+                self.refresh_all();
             }
+        }
+    }
+
+    /// The earliest time thread `i` can step, or `u64::MAX` if it is
+    /// parked at the barrier, done, or waiting on a held lock.
+    #[inline]
+    fn ready_at(&self, i: usize) -> u64 {
+        let t = &self.threads[i];
+        match t.mode {
+            Mode::Done | Mode::AtBarrier => u64::MAX,
+            Mode::WaitLockHtm | Mode::WaitLockFallback => {
+                if self.lock_holder.is_some() {
+                    u64::MAX
+                } else {
+                    t.clock.max(self.lock_free_at).raw()
+                }
+            }
+            Mode::WaitRetry => t.clock.max(t.resume_at).raw(),
+            Mode::Idle | Mode::InTx | Mode::InFallback | Mode::NonTx => t.clock.raw(),
+        }
+    }
+
+    fn refresh_all(&mut self) {
+        for i in 0..self.threads.len() {
+            self.ready[i] = self.ready_at(i);
         }
     }
 
@@ -599,6 +579,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
                             retries: self.threads[i].htm.retries(),
                         });
                     }
+                    self.conflicts.release(i, &self.threads[i].htm);
                     self.threads[i].htm.commit();
                     self.active &= !(1 << i);
                     let bd = self.threads[i].attempt_breakdown;
@@ -658,7 +639,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
     fn abort_thread(&mut self, j: usize, kind: AbortKind) {
         debug_assert!(self.threads[j].htm.is_active());
         // Aborts may hit other threads than the one being stepped, and
-        // always change clocks/modes: drop the same-thread fast path.
+        // always change clocks/modes: refresh every ready time.
         self.local_only = false;
         let at = self.threads[j].clock;
         let lost = at.saturating_sub(self.threads[j].htm.tx_start()).raw();
@@ -685,6 +666,7 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
         // LogTM-style eager versioning pays a log unroll per spilled block.
         let unroll = self.threads[j].htm.overflowed_blocks() * LOG_UNROLL_COST.raw();
+        self.conflicts.release(j, &self.threads[j].htm);
         self.threads[j].htm.abort(kind);
         self.active &= !(1 << j);
         if S::ENABLED {
@@ -848,47 +830,26 @@ impl<'e, S: SinkPort> Engine<'e, S> {
         }
 
         // 4. Eager conflict detection against all other active TXs.
-        let mut others = self.active & !(1 << i);
-        if others != 0 {
-            self.scratch.victims.clear();
-            while others != 0 {
-                let j = others.trailing_zeros() as usize;
-                others &= others - 1;
-                let t = &self.threads[j];
-                debug_assert!(t.htm.is_active());
-                let (reads, writes) = match a.kind {
-                    // Stores conflict with both sets: one combined probe.
-                    AccessKind::Store => t.htm.conflict_probe(block),
-                    // Loads only conflict with the (always precise) writeset.
-                    AccessKind::Load => {
-                        let w = t.htm.writes_block(block);
-                        (w, w)
+        self.scratch.victims.clear();
+        let threads = &self.threads;
+        self.conflicts.victims(
+            i,
+            block,
+            a.kind,
+            self.active,
+            |j| &threads[j].htm,
+            &mut self.scratch.victims,
+        );
+        for k in 0..self.scratch.victims.len() {
+            let (j, kind) = self.scratch.victims[k];
+            match self.cfg.machine.conflict_policy {
+                ConflictPolicy::RequesterWins => self.abort_thread(j, kind),
+                ConflictPolicy::ResponderWins => {
+                    if in_tx && self.threads[i].htm.is_active() {
+                        self.abort_thread(i, kind);
+                        return StepOutcome::SelfAborted;
                     }
-                };
-                let hits = writes || (a.kind == AccessKind::Store && reads);
-                if hits {
-                    // `hits && !writes` can only arise for a store hitting a
-                    // reader, so the read-set membership is already established;
-                    // only the precision of that read still needs probing.
-                    let kind = if !writes && !t.htm.precise_reads_block(block) {
-                        AbortKind::FalseConflict
-                    } else {
-                        AbortKind::Conflict
-                    };
-                    self.scratch.victims.push((j, kind));
-                }
-            }
-            for k in 0..self.scratch.victims.len() {
-                let (j, kind) = self.scratch.victims[k];
-                match self.cfg.machine.conflict_policy {
-                    ConflictPolicy::RequesterWins => self.abort_thread(j, kind),
-                    ConflictPolicy::ResponderWins => {
-                        if in_tx && self.threads[i].htm.is_active() {
-                            self.abort_thread(i, kind);
-                            return StepOutcome::SelfAborted;
-                        }
-                        self.abort_thread(j, kind);
-                    }
+                    self.abort_thread(j, kind);
                 }
             }
         }
@@ -962,6 +923,9 @@ impl<'e, S: SinkPort> Engine<'e, S> {
             if t.htm.on_access(block, a.kind, safe).is_err() {
                 self.abort_thread(i, AbortKind::Capacity);
                 return StepOutcome::SelfAborted;
+            }
+            if !safe {
+                self.conflicts.record(i, block, a.kind);
             }
             if self.uses_stretch {
                 // A consumed stretch event is a suspend/resume round trip:

@@ -21,6 +21,7 @@
 
 pub mod access;
 pub mod addr;
+pub mod blockdir;
 pub mod config;
 pub mod ids;
 pub mod rng;
@@ -28,5 +29,6 @@ pub mod stats_util;
 
 pub use access::{AccessKind, MemAccess, SafetyClass, SafetyHint};
 pub use addr::{Addr, BlockAddr, PageId, BLOCK_SHIFT, BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE};
+pub use blockdir::BlockDir;
 pub use config::{AbortKind, AllocConfig, ConflictPolicy, MachineConfig, SmtMode};
 pub use ids::{CoreId, Cycles, HwThreadId, SiteId, ThreadId, TxId};

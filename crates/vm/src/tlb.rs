@@ -5,8 +5,21 @@ use hintm_types::PageId;
 /// Empty-slot sentinel; page indices never reach it.
 const EMPTY: u64 = u64::MAX;
 
+/// End-of-list sentinel for the recency links.
+const NIL: u32 = u32::MAX;
+
 /// Multiplier for the Fibonacci-style multiplicative hash (2⁶⁴/φ).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One cached translation and its place in the recency list.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    page: u64,
+    /// Next more recently used entry (`NIL` at the head).
+    newer: u32,
+    /// Next less recently used entry (`NIL` at the tail).
+    older: u32,
+}
 
 /// A fully-associative LRU TLB.
 ///
@@ -14,10 +27,12 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// and, on a safe→unsafe page transition, the set of cores whose TLB holds
 /// the page determines the shootdown's slave set.
 ///
-/// Internally an open-addressed table sized to twice the entry capacity
+/// Internally an open-addressed index sized to twice the entry capacity
 /// (the TLB is probed on every memory access, so lookups avoid `HashMap`'s
-/// SipHash). LRU ticks are unique per TLB, so victim selection by minimum
-/// tick is deterministic.
+/// SipHash), pointing into entries threaded on a doubly linked recency
+/// list. A lookup hit or an install moves its entry to the head, so the
+/// LRU victim is always the tail: eviction costs O(1), not a scan of the
+/// table.
 ///
 /// # Examples
 ///
@@ -35,15 +50,21 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
+    /// Page index per index slot (`EMPTY` when free).
     keys: Vec<u64>,
-    lrus: Vec<u64>,
+    /// Entry holding each occupied slot's page.
+    slot_entry: Vec<u32>,
     mask: usize,
     shift: u32,
+    entries: Vec<Entry>,
+    /// Entries released by [`Tlb::invalidate`], reused before new ones.
+    free: Vec<u32>,
+    /// Most recently used entry.
+    head: u32,
+    /// Least recently used entry: the next victim.
+    tail: u32,
     len: usize,
     capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -57,14 +78,15 @@ impl Tlb {
         let slots = (capacity * 2).next_power_of_two();
         Tlb {
             keys: vec![EMPTY; slots],
-            lrus: vec![0; slots],
+            slot_entry: vec![NIL; slots],
             mask: slots - 1,
             shift: 64 - slots.trailing_zeros(),
+            entries: Vec::with_capacity(capacity),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             len: 0,
             capacity,
-            tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -88,51 +110,54 @@ impl Tlb {
         }
     }
 
-    /// Looks up `page`, updating LRU order and hit/miss counters.
+    /// Looks up `page`, making it the most recently used on a hit.
+    #[inline]
     pub fn lookup(&mut self, page: PageId) -> bool {
-        self.tick += 1;
         let (i, hit) = self.slot_of(page.index());
         if hit {
-            self.lrus[i] = self.tick;
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+            self.touch(self.slot_entry[i]);
         }
         hit
     }
 
-    /// Returns `true` if `page` is cached (no LRU/counter side effects).
+    /// Returns `true` if `page` is cached (no recency side effects).
     pub fn contains(&self, page: PageId) -> bool {
         self.slot_of(page.index()).1
     }
 
-    /// Installs `page`, evicting the LRU entry if full.
+    /// Installs `page` as the most recently used, evicting the least
+    /// recently used entry if full.
     pub fn install(&mut self, page: PageId) {
-        self.tick += 1;
-        let (i, hit) = self.slot_of(page.index());
+        let key = page.index();
+        let (i, hit) = self.slot_of(key);
         if hit {
-            self.lrus[i] = self.tick;
+            self.touch(self.slot_entry[i]);
             return;
         }
-        if self.len >= self.capacity {
-            // Ticks are unique, so the minimum is a single deterministic
-            // victim regardless of slot order.
-            let victim = (0..=self.mask)
-                .filter(|&j| self.keys[j] != EMPTY)
-                .min_by_key(|&j| self.lrus[j])
-                .expect("full TLB has entries");
+        let (i, e) = if self.len >= self.capacity {
+            let e = self.tail;
+            let (victim, found) = self.slot_of(self.entries[e as usize].page);
+            debug_assert!(found, "recency tail is indexed");
             self.remove_slot(victim);
+            self.unlink(e);
             // The removal may have shifted entries through `page`'s chain;
             // re-probe for the insertion slot.
-            let (i, hit) = self.slot_of(page.index());
-            debug_assert!(!hit);
-            self.keys[i] = page.index();
-            self.lrus[i] = self.tick;
-            self.len += 1;
-            return;
-        }
-        self.keys[i] = page.index();
-        self.lrus[i] = self.tick;
+            (self.slot_of(key).0, e)
+        } else {
+            let e = self.free.pop().unwrap_or_else(|| {
+                self.entries.push(Entry {
+                    page: key,
+                    newer: NIL,
+                    older: NIL,
+                });
+                (self.entries.len() - 1) as u32
+            });
+            (i, e)
+        };
+        self.entries[e as usize].page = key;
+        self.push_front(e);
+        self.keys[i] = key;
+        self.slot_entry[i] = e;
         self.len += 1;
     }
 
@@ -140,9 +165,48 @@ impl Tlb {
     pub fn invalidate(&mut self, page: PageId) -> bool {
         let (i, hit) = self.slot_of(page.index());
         if hit {
+            let e = self.slot_entry[i];
+            self.unlink(e);
+            self.free.push(e);
             self.remove_slot(i);
         }
         hit
+    }
+
+    /// Number of cached translations.
+    pub fn occupancy(&self) -> usize {
+        self.len
+    }
+
+    /// Moves entry `e` to the head of the recency list.
+    #[inline]
+    fn touch(&mut self, e: u32) {
+        if self.head != e {
+            self.unlink(e);
+            self.push_front(e);
+        }
+    }
+
+    fn unlink(&mut self, e: u32) {
+        let Entry { newer, older, .. } = self.entries[e as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.entries[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.entries[o as usize].newer = newer,
+        }
+    }
+
+    fn push_front(&mut self, e: u32) {
+        self.entries[e as usize].newer = NIL;
+        self.entries[e as usize].older = self.head;
+        match self.head {
+            NIL => self.tail = e,
+            h => self.entries[h as usize].newer = e,
+        }
+        self.head = e;
     }
 
     /// Backward-shift removal keeping every probe chain gap-free.
@@ -154,34 +218,19 @@ impl Tlb {
             let home = self.home(self.keys[j]);
             if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
                 self.keys[hole] = self.keys[j];
-                self.lrus[hole] = self.lrus[j];
+                self.slot_entry[hole] = self.slot_entry[j];
                 self.keys[j] = EMPTY;
                 hole = j;
             }
             j = (j + 1) & self.mask;
         }
     }
-
-    /// Drops everything (full TLB flush).
-    pub fn flush(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
-    /// `(hits, misses)` since creation.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of cached translations.
-    pub fn occupancy(&self) -> usize {
-        self.len
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hintm_types::rng::SmallRng;
 
     fn pg(i: u64) -> PageId {
         PageId::from_index(i)
@@ -193,7 +242,6 @@ mod tests {
         assert!(!t.lookup(pg(1)));
         t.install(pg(1));
         assert!(t.lookup(pg(1)));
-        assert_eq!(t.stats(), (1, 1));
     }
 
     #[test]
@@ -219,14 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn invalidate_drops_one_entry() {
         let mut t = Tlb::new(4);
         t.install(pg(1));
         t.install(pg(2));
         assert!(t.invalidate(pg(1)));
         assert!(!t.invalidate(pg(1)));
-        t.flush();
-        assert_eq!(t.occupancy(), 0);
+        assert_eq!(t.occupancy(), 1);
     }
 
     #[test]
@@ -243,6 +290,152 @@ mod tests {
         }
         for i in 60..64u64 {
             assert!(t.contains(pg(i)), "page {i} is among the 4 most recent");
+        }
+    }
+
+    /// The previous TLB: every lookup and install draws a unique tick, a
+    /// hit or install stamps the entry with it, and a full TLB evicts the
+    /// entry with the minimum stamp, found by scanning the whole table.
+    struct TickTlb {
+        keys: Vec<u64>,
+        lrus: Vec<u64>,
+        mask: usize,
+        shift: u32,
+        len: usize,
+        capacity: usize,
+        tick: u64,
+    }
+
+    impl TickTlb {
+        fn new(capacity: usize) -> Self {
+            let slots = (capacity * 2).next_power_of_two();
+            TickTlb {
+                keys: vec![EMPTY; slots],
+                lrus: vec![0; slots],
+                mask: slots - 1,
+                shift: 64 - slots.trailing_zeros(),
+                len: 0,
+                capacity,
+                tick: 0,
+            }
+        }
+
+        fn home(&self, key: u64) -> usize {
+            (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
+        }
+
+        fn slot_of(&self, key: u64) -> (usize, bool) {
+            let mut i = self.home(key);
+            loop {
+                let k = self.keys[i];
+                if k == key {
+                    return (i, true);
+                }
+                if k == EMPTY {
+                    return (i, false);
+                }
+                i = (i + 1) & self.mask;
+            }
+        }
+
+        fn lookup(&mut self, page: PageId) -> bool {
+            self.tick += 1;
+            let (i, hit) = self.slot_of(page.index());
+            if hit {
+                self.lrus[i] = self.tick;
+            }
+            hit
+        }
+
+        fn contains(&self, page: PageId) -> bool {
+            self.slot_of(page.index()).1
+        }
+
+        fn install(&mut self, page: PageId) {
+            self.tick += 1;
+            let (i, hit) = self.slot_of(page.index());
+            if hit {
+                self.lrus[i] = self.tick;
+                return;
+            }
+            if self.len >= self.capacity {
+                let victim = (0..=self.mask)
+                    .filter(|&j| self.keys[j] != EMPTY)
+                    .min_by_key(|&j| self.lrus[j])
+                    .expect("full TLB has entries");
+                self.remove_slot(victim);
+            }
+            let (i, _) = self.slot_of(page.index());
+            self.keys[i] = page.index();
+            self.lrus[i] = self.tick;
+            self.len += 1;
+        }
+
+        fn invalidate(&mut self, page: PageId) -> bool {
+            let (i, hit) = self.slot_of(page.index());
+            if hit {
+                self.remove_slot(i);
+            }
+            hit
+        }
+
+        fn remove_slot(&mut self, mut hole: usize) {
+            self.keys[hole] = EMPTY;
+            self.len -= 1;
+            let mut j = (hole + 1) & self.mask;
+            while self.keys[j] != EMPTY {
+                let home = self.home(self.keys[j]);
+                if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
+                    self.keys[hole] = self.keys[j];
+                    self.lrus[hole] = self.lrus[j];
+                    self.keys[j] = EMPTY;
+                    hole = j;
+                }
+                j = (j + 1) & self.mask;
+            }
+        }
+    }
+
+    #[test]
+    fn recency_list_matches_the_tick_and_min_scan_reference() {
+        for capacity in [1usize, 4, 64] {
+            for seed in 0..8u64 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut tlb = Tlb::new(capacity);
+                let mut reference = TickTlb::new(capacity);
+                // Twice as many pages as entries keeps the TLB full and
+                // hits frequent.
+                let pages = 2 * capacity as u64 + 1;
+                for step in 0..4000 {
+                    let p = pg(rng.gen_range(0..pages));
+                    let what = match rng.gen_range(0..10u32) {
+                        0..=4 => {
+                            let hit = tlb.lookup(p);
+                            assert_eq!(hit, reference.lookup(p), "lookup hit");
+                            "lookup"
+                        }
+                        5..=8 => {
+                            tlb.install(p);
+                            reference.install(p);
+                            "install"
+                        }
+                        _ => {
+                            let hit = tlb.invalidate(p);
+                            assert_eq!(hit, reference.invalidate(p), "invalidate hit");
+                            "invalidate"
+                        }
+                    };
+                    assert_eq!(tlb.occupancy(), reference.len);
+                    for q in 0..pages {
+                        assert_eq!(
+                            tlb.contains(pg(q)),
+                            reference.contains(pg(q)),
+                            "capacity {capacity} seed {seed} step {step} ({what} {}): page {q}",
+                            p.index()
+                        );
+                    }
+                }
+            }
         }
     }
 }
