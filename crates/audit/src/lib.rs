@@ -23,9 +23,8 @@
 //! safe-site set against what the classifier can re-infer.
 //!
 //! [`audit_workload`] runs both sides for one workload;
-//! [`audit_all`] sweeps the whole suite; [`analyze_workload`] runs the
-//! static capacity analysis. `hintm audit` and `hintm analyze` are the
-//! CLI front ends.
+//! [`analyze_workload`] runs the static capacity analysis. `hintm audit`
+//! and `hintm analyze` are the CLI front ends.
 //!
 //! # Examples
 //!
@@ -212,12 +211,4 @@ pub fn audit_workload(name: &str, scale: Scale, seed: u64) -> Option<AuditReport
         workload.as_mut(),
         seed,
     ))
-}
-
-/// Audits every workload in the suite, in the paper's reporting order.
-pub fn audit_all(scale: Scale, seed: u64) -> Vec<AuditReport> {
-    hintm_workloads::WORKLOAD_NAMES
-        .iter()
-        .filter_map(|name| audit_workload(name, scale, seed))
-        .collect()
 }

@@ -66,22 +66,22 @@ impl fmt::Display for Diagnostic {
 /// Everything a lint may inspect.
 pub struct LintCtx<'a> {
     /// The module as the workload built it.
-    pub original: &'a Module,
+    pub(crate) original: &'a Module,
     /// The module after function replication (what classification ran on).
-    pub module: &'a Module,
+    pub(crate) module: &'a Module,
     /// Points-to solution for the transformed module.
-    pub pt: &'a PointsTo,
+    pub(crate) pt: &'a PointsTo,
     /// Sharing analysis for the transformed module.
-    pub sh: &'a Sharing,
+    pub(crate) sh: &'a Sharing,
     /// The replication transform's output.
-    pub rep: &'a Replication,
+    pub(crate) rep: &'a Replication,
     /// The safe-site set the workload *declares* (what the simulator will
     /// trust), not necessarily what `classify` would produce today.
-    pub safe: &'a BTreeSet<SiteId>,
+    pub(crate) safe: &'a BTreeSet<SiteId>,
     /// Capacity-footprint bounds of the *original* module's transactions.
-    pub fp: &'a ModuleFootprint,
+    pub(crate) fp: &'a ModuleFootprint,
     /// The safe-site set `classify` infers from the module today.
-    pub inferred: &'a BTreeSet<SiteId>,
+    pub(crate) inferred: &'a BTreeSet<SiteId>,
 }
 
 /// A check over a [`LintCtx`].

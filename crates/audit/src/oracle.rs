@@ -59,11 +59,6 @@ impl OracleRecorder {
         Self::default()
     }
 
-    /// The underlying per-address recorder.
-    pub fn recorder(&self) -> &AccessRecorder {
-        &self.rec
-    }
-
     /// Judges every executed site against `safe`, the declared safe set.
     pub fn evaluate(&self, safe: &BTreeSet<SiteId>) -> OracleReport {
         let mut unsound = Vec::new();
@@ -125,7 +120,7 @@ impl OracleRecorder {
 
 impl OracleRecorder {
     /// Records one executed memory access.
-    pub fn access(&mut self, tid: ThreadId, access: MemAccess, _in_tx: bool) {
+    pub(crate) fn access(&mut self, tid: ThreadId, access: MemAccess, _in_tx: bool) {
         self.rec.record(tid, access.addr, access.kind);
         if access.kind == AccessKind::Store {
             let seq = self.cur_seq.get(&tid.0).copied().unwrap_or(0);
@@ -150,13 +145,13 @@ impl OracleRecorder {
     }
 
     /// Notes that `tid` is about to generate its next section.
-    pub fn section_start(&mut self, tid: ThreadId) {
+    pub(crate) fn section_start(&mut self, tid: ThreadId) {
         self.next_seq += 1;
         self.cur_seq.insert(tid.0, self.next_seq);
     }
 
     /// Notes a barrier release (starts a new sharing epoch).
-    pub fn barrier(&mut self) {
+    pub(crate) fn barrier(&mut self) {
         self.rec.advance_epoch();
     }
 }
@@ -201,11 +196,11 @@ pub struct OracleReport {
     pub unsound: Vec<UnsoundHint>,
     /// Unhinted sites whose every touched address was provably private or
     /// read-only: candidates the static classifier missed.
-    pub missed: Vec<SiteId>,
+    pub(crate) missed: Vec<SiteId>,
     /// Distinct (hint-carrying) sites that executed.
-    pub sites_executed: usize,
+    pub(crate) sites_executed: usize,
     /// Distinct raw addresses the run touched.
-    pub addrs_touched: usize,
+    pub(crate) addrs_touched: usize,
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyError {
     /// The offending function's name (`None` for module-level errors).
-    pub func: Option<String>,
+    pub(crate) func: Option<String>,
     /// What is wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for VerifyError {

@@ -11,7 +11,7 @@ pub struct AccessOutcome {
     /// The access hit in the local L1.
     pub l1_hit: bool,
     /// The block was found in the L2 (only meaningful on an L1 miss).
-    pub l2_hit: bool,
+    pub(crate) l2_hit: bool,
     /// Remote cores whose L1 copy was invalidated (the access was a write,
     /// or an upgrade). Eager HTM conflict detection keys off this.
     pub invalidated: Vec<CoreId>,
@@ -24,7 +24,7 @@ pub struct AccessOutcome {
 impl AccessOutcome {
     /// Resets to the post-`default()` state, keeping the vectors' storage
     /// so a reused outcome allocates nothing in steady state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.latency = Cycles::ZERO;
         self.l1_hit = false;
         self.l2_hit = false;
@@ -113,11 +113,6 @@ impl Hierarchy {
             memos: vec![None; cfg.num_cores],
             dir: BlockDir::new(),
         }
-    }
-
-    /// Number of cores (L1 caches).
-    pub fn num_cores(&self) -> usize {
-        self.l1s.len()
     }
 
     /// Returns the accumulated statistics.

@@ -17,12 +17,6 @@ pub enum MesiState {
 }
 
 impl MesiState {
-    /// Returns `true` for `Exclusive` or `Modified`.
-    #[inline]
-    pub const fn is_exclusive(self) -> bool {
-        matches!(self, MesiState::Exclusive | MesiState::Modified)
-    }
-
     /// Returns `true` unless `Invalid`.
     #[inline]
     pub const fn is_valid(self) -> bool {
@@ -112,16 +106,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     #[inline]
     fn set_index(&self, block: BlockAddr) -> usize {
         (block.index() as usize) & (self.num_sets - 1)
@@ -168,21 +152,9 @@ impl SetAssocCache {
             .map_or(MesiState::Invalid, |i| self.states[i])
     }
 
-    /// Returns `true` if the block is present in a valid state.
-    pub fn contains(&self, block: BlockAddr) -> bool {
-        self.find(block).is_some()
-    }
-
-    /// Marks `block` most-recently-used and returns its state, or
-    /// `Invalid` on a miss (no state change).
-    pub fn touch(&mut self, block: BlockAddr) -> MesiState {
-        self.touch_entry(block)
-            .map_or(MesiState::Invalid, |i| self.states[i])
-    }
-
-    /// [`SetAssocCache::touch`] exposing the hit's line index so the
-    /// hierarchy can follow up with [`SetAssocCache::set_state_at`]
-    /// without a second tag scan.
+    /// Marks `block` most-recently-used and returns its line index, or
+    /// `None` on a miss, so the hierarchy can follow up with
+    /// [`SetAssocCache::set_state_at`] without a second tag scan.
     pub(crate) fn touch_entry(&mut self, block: BlockAddr) -> Option<usize> {
         self.tick += 1;
         let i = self.find(block)?;
@@ -207,7 +179,7 @@ impl SetAssocCache {
     ///
     /// Panics if the block is absent or `state` is `Invalid` (use
     /// [`SetAssocCache::invalidate`]).
-    pub fn set_state(&mut self, block: BlockAddr, state: MesiState) {
+    pub(crate) fn set_state(&mut self, block: BlockAddr, state: MesiState) {
         assert!(state.is_valid(), "use invalidate() to drop a line");
         let i = self.find(block).expect("set_state on absent block");
         self.states[i] = state;
@@ -283,7 +255,7 @@ impl SetAssocCache {
     }
 
     /// Drops `block` from the cache, returning its former state.
-    pub fn invalidate(&mut self, block: BlockAddr) -> MesiState {
+    pub(crate) fn invalidate(&mut self, block: BlockAddr) -> MesiState {
         match self.find(block) {
             Some(i) => {
                 let s = self.states[i];
@@ -294,11 +266,6 @@ impl SetAssocCache {
             }
             None => MesiState::Invalid,
         }
-    }
-
-    /// Number of valid lines currently held.
-    pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
     }
 }
 
@@ -314,11 +281,11 @@ mod tests {
     #[test]
     fn install_and_lookup() {
         let mut c = SetAssocCache::new(1024, 2); // 16 blocks, 8 sets
-        assert_eq!(c.num_sets(), 8);
+        assert_eq!(c.num_sets, 8);
         c.install(block(1), MesiState::Shared);
-        assert!(c.contains(block(1)));
+        assert!(c.state_of(block(1)).is_valid());
         assert_eq!(c.state_of(block(1)), MesiState::Shared);
-        assert!(!c.contains(block(2)));
+        assert!(!c.state_of(block(2)).is_valid());
     }
 
     #[test]
@@ -327,12 +294,12 @@ mod tests {
                                                  // Blocks 0, 8, 16 all map to set 0 in a 8-set cache.
         c.install(block(0), MesiState::Exclusive);
         c.install(block(8), MesiState::Exclusive);
-        c.touch(block(0)); // 0 is now MRU
+        c.touch_entry(block(0)); // 0 is now MRU
         let victim = c.install(block(16), MesiState::Exclusive);
         assert_eq!(victim, Some((block(8), MesiState::Exclusive)));
-        assert!(c.contains(block(0)));
-        assert!(c.contains(block(16)));
-        assert!(!c.contains(block(8)));
+        assert!(c.state_of(block(0)).is_valid());
+        assert!(c.state_of(block(16)).is_valid());
+        assert!(!c.state_of(block(8)).is_valid());
     }
 
     #[test]
@@ -353,8 +320,8 @@ mod tests {
             Some((block(0), MesiState::Exclusive)),
             "equal LRU ticks must evict way 0"
         );
-        assert!(c.contains(block(8)));
-        assert!(c.contains(block(16)));
+        assert!(c.state_of(block(8)).is_valid());
+        assert!(c.state_of(block(16)).is_valid());
     }
 
     #[test]
@@ -365,7 +332,7 @@ mod tests {
         c.invalidate(block(0));
         let victim = c.install(block(16), MesiState::Shared);
         assert_eq!(victim, None, "invalid way should absorb the install");
-        assert!(c.contains(block(8)));
+        assert!(c.state_of(block(8)).is_valid());
     }
 
     #[test]
@@ -402,17 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_counts_valid_lines() {
-        let mut c = SetAssocCache::new(1024, 2);
-        assert_eq!(c.occupancy(), 0);
-        c.install(block(1), MesiState::Shared);
-        c.install(block(2), MesiState::Shared);
-        assert_eq!(c.occupancy(), 2);
-        c.invalidate(block(1));
-        assert_eq!(c.occupancy(), 1);
-    }
-
-    #[test]
     fn addr_block_mapping_spans_sets() {
         let c = SetAssocCache::new(32 * 1024, 8); // 64 sets
         let a = Addr::new(0).block();
@@ -422,9 +378,6 @@ mod tests {
 
     #[test]
     fn mesi_state_helpers() {
-        assert!(MesiState::Modified.is_exclusive());
-        assert!(MesiState::Exclusive.is_exclusive());
-        assert!(!MesiState::Shared.is_exclusive());
         assert!(!MesiState::Invalid.is_valid());
         assert_eq!(MesiState::Modified.to_string(), "M");
     }

@@ -48,9 +48,9 @@ pub struct Cell {
     /// [`Cell::key`].
     pub alloc_color: u64,
     /// Record per-committed-transaction footprints (Fig. 6 CDFs).
-    pub record_tx_sizes: bool,
+    pub(crate) record_tx_sizes: bool,
     /// Feed every access to the sharing profiler (Fig. 1 metrics).
-    pub profile_sharing: bool,
+    pub(crate) profile_sharing: bool,
 }
 
 impl Default for Cell {
@@ -89,14 +89,14 @@ pub struct Axis {
     /// key holding a JSON array of them, which `hintm sweep` also accepts
     /// as a flag (`--` + the key, `_` as `-`) taking a comma-separated
     /// list.
-    pub list: Option<&'static str>,
+    pub(crate) list: Option<&'static str>,
     /// Label in [`Cell::key`]: `Some("")` writes the bare value, `None`
     /// leaves the axis out of the key.
     pub key: Option<&'static str>,
     /// Sets the axis on a cell from a JSON value.
-    pub parse: fn(&mut Cell, &Json) -> Result<(), String>,
+    pub(crate) parse: fn(&mut Cell, &Json) -> Result<(), String>,
     /// The axis's value on a cell, as JSON.
-    pub render: fn(&Cell) -> Json,
+    pub(crate) render: fn(&Cell) -> Json,
 }
 
 fn text(v: &Json) -> Result<&str, String> {
@@ -432,16 +432,13 @@ pub fn cell_from_json(j: &Json) -> Result<Cell, String> {
 /// Builder enumerating a sweep's cells as the cross product of its axes.
 ///
 /// Each axis holds a list of values; an empty list means the axis default
-/// (for the workload axis: every registered workload). Irregular cells
-/// (e.g. one profiling run per workload) ride along via
-/// [`SweepSpec::cell`]. Enumeration order is stable — workload-major, then
-/// the other axes in [`AXES`] order, then the extra cells — and duplicates
-/// are dropped, keeping the first occurrence.
+/// (for the workload axis: every registered workload). Enumeration order
+/// is stable — workload-major, then the other axes in [`AXES`] order — and
+/// duplicates are dropped, keeping the first occurrence.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepSpec {
     /// Values per axis, indexed like [`AXES`], in rendered form.
     axes: Box<[Vec<Json>; AXES.len()]>,
-    extra: Vec<Cell>,
 }
 
 impl SweepSpec {
@@ -483,17 +480,8 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// The values set on axis `json` (empty: the axis default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no axis has that JSON key.
-    pub fn values(&self, json: &str) -> &[Json] {
-        &self.axes[axis_index(json)]
-    }
-
     /// Parses a `POST /sweeps` body. Keys are the flagged axes: the
-    /// [`Axis::list`] name with a JSON array for list axes, the
+    /// `Axis::list` name with a JSON array for list axes, the
     /// [`Axis::json`] name with one value otherwise. Unknown keys are
     /// rejected so typos fail loudly instead of sweeping the wrong grid.
     ///
@@ -521,7 +509,7 @@ impl SweepSpec {
     }
 
     /// Adds one workload to the sweep.
-    pub fn workload(self, name: &str) -> Self {
+    pub(crate) fn workload(self, name: &str) -> Self {
         self.add("workload", Cell::new(name))
     }
 
@@ -541,7 +529,7 @@ impl SweepSpec {
     }
 
     /// Adds one hint mode to the sweep.
-    pub fn hint(self, mode: HintMode) -> Self {
+    pub(crate) fn hint(self, mode: HintMode) -> Self {
         self.add("hints", Cell::default().hint(mode))
     }
 
@@ -567,12 +555,14 @@ impl SweepSpec {
 
     /// Adds one heap-placement color stride to the sweep (a
     /// result-affecting axis; empty = `[0]`, the packed default).
-    pub fn alloc_color(self, stride: u64) -> Self {
+    #[cfg(test)]
+    fn alloc_color(self, stride: u64) -> Self {
         self.add("alloc_color", Cell::default().alloc_color(stride))
     }
 
     /// Adds several heap-placement color strides.
-    pub fn alloc_colors(self, strides: impl IntoIterator<Item = u64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn alloc_colors(self, strides: impl IntoIterator<Item = u64>) -> Self {
         strides.into_iter().fold(self, Self::alloc_color)
     }
 
@@ -582,7 +572,7 @@ impl SweepSpec {
     }
 
     /// The ignored `sim_threads` spelling, applied to every enumerated
-    /// cell (including extras) — see [`Cell::sim_threads`].
+    /// cell — see [`Cell::sim_threads`].
     pub fn sim_threads(self, n: usize) -> Self {
         self.put("sim_threads", Cell::default().sim_threads(n))
     }
@@ -597,14 +587,8 @@ impl SweepSpec {
         self.put("preserve", Cell::default().preserve(on))
     }
 
-    /// Appends one irregular cell after the cross product.
-    pub fn cell(mut self, cell: Cell) -> Self {
-        self.extra.push(cell);
-        self
-    }
-
-    /// Enumerates the sweep's cells: cross product in stable order, extras
-    /// appended, duplicates dropped (first occurrence wins).
+    /// Enumerates the sweep's cells: cross product in stable order,
+    /// duplicates dropped (first occurrence wins).
     pub fn cells(&self) -> Vec<Cell> {
         let apply = |cell: &mut Cell, axis: &Axis, v: &Json| {
             (axis.parse)(cell, v).expect("sweep values are stored in rendered form");
@@ -629,22 +613,9 @@ impl SweepSpec {
                 })
                 .collect();
         }
-        // Axes outside the key are host settings (sim_threads): a value
-        // set on the spec covers the extras too; an unset spec leaves
-        // each extra's own value alone.
-        let extra = self.extra.iter().map(|cell| {
-            let mut c = cell.clone();
-            for (axis, values) in AXES.iter().zip(self.axes.iter()) {
-                if let (None, Some(v)) = (axis.key, values.first()) {
-                    apply(&mut c, axis, v);
-                }
-            }
-            c
-        });
         let mut seen = HashSet::new();
         product
             .into_iter()
-            .chain(extra)
             .filter(|cell| seen.insert(cell.key()))
             .collect()
     }
@@ -701,20 +672,13 @@ mod tests {
     }
 
     #[test]
-    fn spec_sim_threads_covers_product_and_extras() {
+    fn spec_sim_threads_covers_every_cell() {
         let spec = SweepSpec::new()
-            .workload("kmeans")
-            .cell(Cell::new("ssca2"))
+            .workloads(["kmeans", "ssca2"])
             .sim_threads(4);
         let cells = spec.cells();
+        assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.sim_threads == 4));
-        // Unset spec leaves an extra's own value alone.
-        let cells = SweepSpec::new()
-            .workload("kmeans")
-            .cell(Cell::new("ssca2").sim_threads(2))
-            .cells();
-        assert_eq!(cells[0].sim_threads, 1);
-        assert_eq!(cells[1].sim_threads, 2);
     }
 
     #[test]
@@ -765,16 +729,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_dedups_and_appends_extras() {
+    fn spec_dedups_the_cross_product() {
         let spec = SweepSpec::new()
             .workload("kmeans")
             .workload("kmeans")
-            .htms([HtmKind::P8, HtmKind::P8])
-            .cell(Cell::new("kmeans")) // same as the cross product's only cell
-            .cell(Cell::new("kmeans").profile_sharing(true));
-        let cells = spec.cells();
-        assert_eq!(cells.len(), 2);
-        assert!(!cells[0].profile_sharing && cells[1].profile_sharing);
+            .htms([HtmKind::P8, HtmKind::P8]);
+        assert_eq!(spec.cells(), vec![Cell::new("kmeans")]);
     }
 
     #[test]

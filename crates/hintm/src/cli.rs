@@ -109,13 +109,13 @@ impl Default for ServeArgs {
 #[derive(Clone, Debug, PartialEq)]
 pub struct AuditArgs {
     /// Workloads to audit (empty = every registered workload).
-    pub workloads: Vec<String>,
+    pub(crate) workloads: Vec<String>,
     /// Seed for the dynamically observed run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Input scale for the observed run.
-    pub scale: Scale,
+    pub(crate) scale: Scale,
     /// Emit a JSON report instead of the table.
-    pub json: bool,
+    pub(crate) json: bool,
 }
 
 impl Default for AuditArgs {
@@ -133,11 +133,11 @@ impl Default for AuditArgs {
 #[derive(Clone, Debug, PartialEq)]
 pub struct AnalyzeArgs {
     /// Workloads to analyze (empty = every registered workload).
-    pub workloads: Vec<String>,
+    pub(crate) workloads: Vec<String>,
     /// Input scale the modules are annotated for.
-    pub scale: Scale,
+    pub(crate) scale: Scale,
     /// Emit a JSON report instead of the table.
-    pub json: bool,
+    pub(crate) json: bool,
 }
 
 impl Default for AnalyzeArgs {
@@ -157,10 +157,10 @@ pub struct TraceArgs {
     pub cell: Cell,
     /// Directory for `<workload>.trace.json` (Chrome trace_event) and
     /// `<workload>.trace.bin` (compact binary log).
-    pub out: Option<String>,
+    pub(crate) out: Option<String>,
     /// Trace buffer capacity: how many events are retained verbatim
     /// (metrics and the digest always cover the whole run).
-    pub events: usize,
+    pub(crate) events: usize,
 }
 
 impl Default for TraceArgs {
@@ -231,7 +231,7 @@ pub struct RunArgs {
     /// The run configuration; `run` requires its workload.
     pub cell: Cell,
     /// Emit CSV instead of a table.
-    pub csv: bool,
+    pub(crate) csv: bool,
 }
 
 /// Usage text.

@@ -29,10 +29,10 @@ use HintMode::{Dynamic, Full, Off, Static};
 use HtmKind::{InfCap, L1Tm, LogTm, Rot, P8, P8S};
 
 /// Looks up the report of one of a row's cells.
-pub type Reports<'r> = dyn Fn(&Cell) -> &'r RunReport + 'r;
+pub(crate) type Reports<'r> = dyn Fn(&Cell) -> &'r RunReport + 'r;
 
 /// Renders a row's table from the reports of its cells.
-pub type Render = fn(&Reports<'_>) -> String;
+pub(crate) type Render = fn(&Reports<'_>) -> String;
 
 /// One table or figure of the evaluation.
 #[derive(Clone, Copy, Debug)]

@@ -387,7 +387,7 @@ fn parse_u32_vec(j: &Json, key: &str) -> Result<Vec<u32>, JsonError> {
 }
 
 /// Serializes run statistics to a JSON value (exact round trip via
-/// [`run_stats_from_json`]).
+/// `run_stats_from_json`).
 pub fn run_stats_to_json(stats: &RunStats) -> Json {
     let self_ = stats;
     {
@@ -452,7 +452,7 @@ pub fn run_stats_to_json(stats: &RunStats) -> Json {
 /// # Errors
 ///
 /// Returns [`JsonError`] on missing fields or type mismatches.
-pub fn run_stats_from_json(j: &Json) -> Result<RunStats, JsonError> {
+pub(crate) fn run_stats_from_json(j: &Json) -> Result<RunStats, JsonError> {
     {
         use hintm_types::Cycles;
         let vm = j.field("vm")?;
@@ -529,7 +529,7 @@ fn hist_from_json(j: &Json, key: &str) -> Result<HistSummary, JsonError> {
 
 /// Serializes a trace metric summary (the optional `trace` field of
 /// [`RunReport::to_json`]).
-pub fn trace_summary_to_json(t: &TraceSummary) -> Json {
+pub(crate) fn trace_summary_to_json(t: &TraceSummary) -> Json {
     Json::Obj(vec![
         ("events".into(), Json::u64(t.events)),
         ("dropped".into(), Json::u64(t.dropped)),
@@ -561,7 +561,7 @@ pub fn trace_summary_to_json(t: &TraceSummary) -> Json {
 /// # Errors
 ///
 /// Returns [`JsonError`] on missing fields or type mismatches.
-pub fn trace_summary_from_json(j: &Json) -> Result<TraceSummary, JsonError> {
+pub(crate) fn trace_summary_from_json(j: &Json) -> Result<TraceSummary, JsonError> {
     Ok(TraceSummary {
         events: j.field("events")?.as_u64()?,
         dropped: j.field("dropped")?.as_u64()?,
@@ -668,7 +668,7 @@ fn sites_to_json(sites: &std::collections::BTreeSet<hintm_types::SiteId>) -> Jso
 /// footprint bounds with per-model verdicts, the module-worst verdicts,
 /// the predicted size histogram, the declared/inferred safe-site sets,
 /// and every diagnostic.
-pub fn analyze_report_to_json(r: &AnalyzeReport) -> Json {
+pub(crate) fn analyze_report_to_json(r: &AnalyzeReport) -> Json {
     let txs = r
         .footprint
         .txs
@@ -733,7 +733,7 @@ pub fn analyze_report_to_json(r: &AnalyzeReport) -> Json {
 
 /// Serializes one [`AuditReport`] to a JSON value, sharing the diagnostic
 /// encoding with [`analyze_report_to_json`].
-pub fn audit_report_to_json(r: &AuditReport) -> Json {
+pub(crate) fn audit_report_to_json(r: &AuditReport) -> Json {
     let unsound = r
         .unsound
         .iter()

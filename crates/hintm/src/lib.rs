@@ -101,7 +101,7 @@ impl RunReport {
     }
 
     /// Relative reduction in false-conflict aborts vs `baseline`.
-    pub fn false_conflict_reduction_vs(&self, baseline: &RunReport) -> f64 {
+    pub(crate) fn false_conflict_reduction_vs(&self, baseline: &RunReport) -> f64 {
         self.stats
             .abort_reduction_vs(&baseline.stats, AbortKind::FalseConflict)
     }
@@ -132,7 +132,7 @@ impl fmt::Display for RunReport {
 /// capacity aborts, derived as the gap between a baseline run and the same
 /// workload on InfCap (see §V, "Fig. 1's fraction of runtime wasted on
 /// capacity aborts is derived as a comparison between InfCap and P8").
-pub fn capacity_runtime_fraction(baseline: &RunReport, infcap: &RunReport) -> f64 {
+pub(crate) fn capacity_runtime_fraction(baseline: &RunReport, infcap: &RunReport) -> f64 {
     let b = baseline.stats.total_cycles.raw() as f64;
     let i = infcap.stats.total_cycles.raw() as f64;
     if b <= 0.0 {

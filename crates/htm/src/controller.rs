@@ -81,7 +81,7 @@ pub struct HtmConfig {
     /// 1 kbit).
     pub sig_bits: usize,
     /// Signature hash functions.
-    pub sig_hashes: u32,
+    pub(crate) sig_hashes: u32,
     /// Read-set limit for [`HtmKind::Lrws`] (exact entries before reads
     /// spill to the signature).
     pub lrws_read_limit: usize,
@@ -148,28 +148,14 @@ pub struct HtmThreadStats {
     /// Aborts by kind: indexed as [`AbortKind::ALL`].
     pub aborts: [u64; 5],
     /// Accesses skipped from tracking thanks to a safety hint.
-    pub safe_skipped: u64,
+    pub(crate) safe_skipped: u64,
     /// Accesses tracked.
-    pub tracked: u64,
+    pub(crate) tracked: u64,
 }
 
 impl HtmThreadStats {
-    /// Total aborts across kinds.
-    pub fn total_aborts(&self) -> u64 {
-        self.aborts.iter().sum()
-    }
-
-    /// Aborts of one kind.
-    pub fn aborts_of(&self, kind: AbortKind) -> u64 {
-        let i = AbortKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("kind in ALL");
-        self.aborts[i]
-    }
-
     /// Records an abort of `kind`.
-    pub fn record_abort(&mut self, kind: AbortKind) {
+    pub(crate) fn record_abort(&mut self, kind: AbortKind) {
         let i = AbortKind::ALL
             .iter()
             .position(|k| *k == kind)
@@ -188,7 +174,6 @@ impl HtmThreadStats {
 /// See the crate docs for an example.
 #[derive(Clone, Debug)]
 pub struct HtmThread {
-    config: HtmConfig,
     tracker: Tracker,
     phase: TxPhase,
     retries: u32,
@@ -201,22 +186,11 @@ impl HtmThread {
     pub fn new(config: &HtmConfig) -> Self {
         HtmThread {
             tracker: config.make_tracker(),
-            config: config.clone(),
             phase: TxPhase::Idle,
             retries: 0,
             stats: HtmThreadStats::default(),
             tx_start: Cycles::ZERO,
         }
-    }
-
-    /// The configuration this thread was built with.
-    pub fn config(&self) -> &HtmConfig {
-        &self.config
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> TxPhase {
-        self.phase
     }
 
     /// Returns `true` while speculatively executing.
@@ -310,7 +284,7 @@ impl HtmThread {
 
     /// Readset membership for conflict checks (may be a signature false
     /// positive).
-    pub fn reads_block(&self, block: BlockAddr) -> bool {
+    pub(crate) fn reads_block(&self, block: BlockAddr) -> bool {
         self.phase == TxPhase::Active && self.tracker.reads_block(block)
     }
 
@@ -331,11 +305,6 @@ impl HtmThread {
             return (false, false);
         }
         self.tracker.conflict_probe(block)
-    }
-
-    /// Speculatively written blocks (for rollback in the cache model).
-    pub fn write_blocks(&self) -> Vec<BlockAddr> {
-        self.tracker.write_blocks()
     }
 
     /// Appends the speculatively written blocks to `out` without
@@ -446,12 +415,12 @@ mod tests {
     #[test]
     fn lifecycle_commit() {
         let mut t = p8_thread();
-        assert_eq!(t.phase(), TxPhase::Idle);
+        assert_eq!(t.phase, TxPhase::Idle);
         t.begin();
         assert!(t.is_active());
         t.on_access(blk(1), AccessKind::Load, false).unwrap();
         t.commit();
-        assert_eq!(t.phase(), TxPhase::Idle);
+        assert_eq!(t.phase, TxPhase::Idle);
         assert_eq!(t.stats().commits, 1);
         assert_eq!(t.footprint(), 0, "commit clears tracking");
     }
@@ -462,7 +431,7 @@ mod tests {
         t.begin();
         t.abort(AbortKind::Conflict);
         assert_eq!(t.retries(), 1);
-        assert_eq!(t.stats().aborts_of(AbortKind::Conflict), 1);
+        assert_eq!(t.stats().aborts, [1, 0, 0, 0, 0]);
         t.begin();
         t.commit();
         assert_eq!(t.retries(), 0, "commit resets retries");
@@ -477,7 +446,7 @@ mod tests {
         }
         assert!(t.on_access(blk(64), AccessKind::Load, false).is_err());
         t.abort(AbortKind::Capacity);
-        assert_eq!(t.stats().aborts_of(AbortKind::Capacity), 1);
+        assert_eq!(t.stats().aborts, [0, 1, 0, 0, 0]);
     }
 
     #[test]
@@ -525,10 +494,10 @@ mod tests {
     fn fallback_flow() {
         let mut t = p8_thread();
         t.enter_fallback();
-        assert_eq!(t.phase(), TxPhase::Fallback);
+        assert_eq!(t.phase, TxPhase::Fallback);
         t.commit_fallback();
         assert_eq!(t.stats().fallback_commits, 1);
-        assert_eq!(t.phase(), TxPhase::Idle);
+        assert_eq!(t.phase, TxPhase::Idle);
     }
 
     #[test]
@@ -623,9 +592,6 @@ mod tests {
         for k in AbortKind::ALL {
             s.record_abort(k);
         }
-        assert_eq!(s.total_aborts(), 5);
-        for k in AbortKind::ALL {
-            assert_eq!(s.aborts_of(k), 1);
-        }
+        assert_eq!(s.aborts, [1; 5]);
     }
 }

@@ -57,11 +57,6 @@ impl Signature {
         }
     }
 
-    /// Number of bits in the bitvector.
-    pub fn num_bits(&self) -> usize {
-        self.num_bits
-    }
-
     /// Number of insertions since the last clear.
     pub fn inserted(&self) -> u64 {
         self.inserted
@@ -104,14 +99,9 @@ impl Signature {
     }
 
     /// Fraction of bits set (0.0 ..= 1.0); a saturation indicator.
-    pub fn fill_ratio(&self) -> f64 {
+    pub(crate) fn fill_ratio(&self) -> f64 {
         let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
         set as f64 / self.num_bits as f64
-    }
-
-    /// Returns `true` if no address has been inserted since the last clear.
-    pub fn is_empty(&self) -> bool {
-        self.inserted == 0
     }
 }
 
@@ -151,7 +141,6 @@ mod tests {
         for i in 0..100u64 {
             assert!(!s.maybe_contains(blk(i)));
         }
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl std::error::Error for CapacityAbort {}
 /// * [`Tracker::p8`] — bounded fully-associative buffer (reads + writes).
 /// * [`Tracker::p8_sig`] — bounded buffer whose *read* overflow spills into
 ///   a lossy [`Signature`]; only write pressure can capacity-abort.
-/// * [`Tracker::l1`] — unbounded map, but [`Tracker::on_l1_eviction`]
+/// * [`Tracker::l1`] — unbounded map, but `Tracker::on_l1_eviction`
 ///   reports a capacity abort when a tracked line spills from the L1.
 /// * [`Tracker::inf`] — unbounded, never aborts.
 #[derive(Clone, Debug)]
@@ -401,7 +401,7 @@ impl Tracker {
     /// Returns `true` when this implies a capacity abort (in-L1 tracking of
     /// a transactionally-marked line); all other backends keep their state
     /// in dedicated structures and return `false`.
-    pub fn on_l1_eviction(&self, block: BlockAddr) -> bool {
+    pub(crate) fn on_l1_eviction(&self, block: BlockAddr) -> bool {
         match &self.0 {
             Backend::L1 { entries } => entries.contains(block),
             _ => false,
@@ -454,7 +454,7 @@ impl Tracker {
     /// `(self.reads_block(block), self.writes_block(block))` — the readset
     /// bit may be a signature false positive for the signature backend,
     /// the writeset bit is always precise.
-    pub fn conflict_probe(&self, block: BlockAddr) -> (bool, bool) {
+    pub(crate) fn conflict_probe(&self, block: BlockAddr) -> (bool, bool) {
         let (r, w) = self.entries().get(block).unwrap_or((false, false));
         match &self.0 {
             Backend::P8Sig { sig, .. } | Backend::Lrws { sig, .. } => {
@@ -474,7 +474,7 @@ impl Tracker {
 
     /// Appends all speculatively written blocks to `out` (allocation-free
     /// variant for the engine's reusable scratch buffer).
-    pub fn write_blocks_into(&self, out: &mut Vec<BlockAddr>) {
+    pub(crate) fn write_blocks_into(&self, out: &mut Vec<BlockAddr>) {
         self.entries().for_each(|b, _, w| {
             if w {
                 out.push(b);

@@ -1,12 +1,12 @@
 //! The end-to-end static classification pipeline (§IV-A).
 
 use crate::initializing::initializing_stores;
-use crate::module::{CallSiteId, Instr, Module};
+use crate::module::{Instr, Module};
 use crate::points_to::points_to;
 use crate::replicate::replicate;
 use crate::sharing::sharing;
 use hintm_types::SiteId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Summary statistics of a classification run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,15 +22,13 @@ pub struct ClassifyStats {
 }
 
 /// The output of [`classify`]: which access sites carry the compiler's
-/// safe-load/safe-store flag, plus the site remapping for replicated call
-/// paths.
+/// safe-load/safe-store flag.
 ///
-/// Both collections are ordered so that iteration (printing, diffing,
-/// auditing) is byte-stable across runs.
+/// The set is ordered so that iteration (printing, diffing, auditing) is
+/// byte-stable across runs.
 #[derive(Clone, Debug)]
 pub struct StaticClassification {
     safe_sites: BTreeSet<SiteId>,
-    site_map: BTreeMap<(CallSiteId, SiteId), SiteId>,
     stats: ClassifyStats,
 }
 
@@ -40,45 +38,14 @@ impl StaticClassification {
         self.safe_sites.contains(&site)
     }
 
-    /// Resolves the effective site for an access issued through a
-    /// (possibly replicated) call path: returns the clone's site if the
-    /// call site was rewritten, the original otherwise.
-    pub fn resolve(&self, call_site: CallSiteId, site: SiteId) -> SiteId {
-        self.site_map
-            .get(&(call_site, site))
-            .copied()
-            .unwrap_or(site)
-    }
-
-    /// Is the access at `site`, reached through `call_site`, safe?
-    pub fn is_safe_via(&self, call_site: CallSiteId, site: SiteId) -> bool {
-        self.is_safe(self.resolve(call_site, site))
-    }
-
     /// The full safe-site set, in ascending site order.
     pub fn safe_sites(&self) -> &BTreeSet<SiteId> {
         &self.safe_sites
     }
 
-    /// The `(call site, original site) → clone site` remapping, in
-    /// ascending key order.
-    pub fn site_map(&self) -> &BTreeMap<(CallSiteId, SiteId), SiteId> {
-        &self.site_map
-    }
-
     /// Summary statistics.
     pub fn stats(&self) -> ClassifyStats {
         self.stats
-    }
-
-    /// A classification that marks nothing safe (the baseline-HTM
-    /// configuration, or workloads without a static model).
-    pub fn empty() -> Self {
-        StaticClassification {
-            safe_sites: BTreeSet::new(),
-            site_map: BTreeMap::new(),
-            stats: ClassifyStats::default(),
-        }
     }
 }
 
@@ -125,7 +92,6 @@ pub fn classify(module: &Module) -> StaticClassification {
 
     StaticClassification {
         safe_sites,
-        site_map: rep.site_map,
         stats: ClassifyStats {
             num_sites: module2.num_sites,
             safe_loads,
@@ -264,23 +230,18 @@ mod tests {
 
         let c = classify(&module);
         assert_eq!(c.stats().replicated_funcs, 1);
-        assert!(c.is_safe_via(safe_call, store_site), "clone path is safe");
+        let pt = points_to(&module);
+        let (_, rep) = replicate(&module, &pt, &sharing(&module, &pt));
+        let clone_site = rep.site_map[&(safe_call, store_site)];
+        assert!(c.is_safe(clone_site), "clone path is safe");
         assert!(
-            !c.is_safe_via(unsafe_call, store_site),
-            "shared path stays unsafe"
+            !rep.site_map.contains_key(&(unsafe_call, store_site)),
+            "shared path keeps the original site"
         );
         assert!(
             !c.is_safe(store_site),
             "original site unsafe (mixed contexts)"
         );
-    }
-
-    #[test]
-    fn empty_classification_marks_nothing() {
-        let c = StaticClassification::empty();
-        assert!(!c.is_safe(SiteId(0)));
-        assert_eq!(c.stats(), ClassifyStats::default());
-        assert_eq!(c.resolve(CallSiteId(0), SiteId(3)), SiteId(3));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! element of a monoid describing what a statement does — can be computed
 //! bottom-up. A client implements [`EffectDomain`] to say how effects
 //! compose sequentially, across branches, and under loops (with an
-//! optional static trip bound), and [`func_effect`] folds a whole function
+//! optional static trip bound), and `func_effect` folds a whole function
 //! body into one summary. Summaries are memoized per function by
 //! [`SummaryCache`]; recursive cycles collapse to the domain's
 //! [`top`](EffectDomain::top), which bounds the interprocedural fixpoint
@@ -71,7 +71,7 @@ pub enum Bound {
 #[allow(clippy::should_implement_trait)]
 impl Bound {
     /// Saturating addition; anything plus ∞ is ∞.
-    pub fn add(self, other: Bound) -> Bound {
+    pub(crate) fn add(self, other: Bound) -> Bound {
         match (self, other) {
             (Bound::Finite(a), Bound::Finite(b)) => Bound::Finite(a.saturating_add(b)),
             _ => Bound::Unbounded,
@@ -80,7 +80,7 @@ impl Bound {
 
     /// Multiplies by a finite factor; `0 * ∞` is 0 (an empty effect stays
     /// empty no matter how often it repeats).
-    pub fn mul(self, factor: u64) -> Bound {
+    pub(crate) fn mul(self, factor: u64) -> Bound {
         match self {
             Bound::Finite(0) => Bound::Finite(0),
             Bound::Finite(a) => Bound::Finite(a.saturating_mul(factor)),
@@ -95,7 +95,7 @@ impl Bound {
     }
 
     /// The smaller of the two bounds.
-    pub fn min(self, other: Bound) -> Bound {
+    pub(crate) fn min(self, other: Bound) -> Bound {
         match (self, other) {
             (Bound::Finite(a), Bound::Finite(b)) => Bound::Finite(a.min(b)),
             (Bound::Finite(a), Bound::Unbounded) | (Bound::Unbounded, Bound::Finite(a)) => {
@@ -106,7 +106,7 @@ impl Bound {
     }
 
     /// The larger of the two bounds.
-    pub fn max(self, other: Bound) -> Bound {
+    pub(crate) fn max(self, other: Bound) -> Bound {
         match (self, other) {
             (Bound::Finite(a), Bound::Finite(b)) => Bound::Finite(a.max(b)),
             _ => Bound::Unbounded,
@@ -118,14 +118,6 @@ impl Bound {
         match self {
             Bound::Finite(a) => a <= limit,
             Bound::Unbounded => false,
-        }
-    }
-
-    /// The finite value, if any.
-    pub fn finite(self) -> Option<u64> {
-        match self {
-            Bound::Finite(a) => Some(a),
-            Bound::Unbounded => None,
         }
     }
 }
@@ -147,9 +139,9 @@ impl fmt::Display for Bound {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Interval {
     /// Guaranteed minimum.
-    pub lo: u64,
+    pub(crate) lo: u64,
     /// Static maximum.
-    pub hi: Bound,
+    pub(crate) hi: Bound,
 }
 
 impl Interval {
@@ -166,7 +158,8 @@ impl Interval {
     };
 
     /// The exact singleton interval `[n, n]`.
-    pub fn exact(n: u64) -> Interval {
+    #[cfg(test)]
+    fn exact(n: u64) -> Interval {
         Interval {
             lo: n,
             hi: Bound::Finite(n),
@@ -213,17 +206,6 @@ impl Interval {
                 (hi, Some(n)) => hi.mul(u64::from(n)),
                 (_, None) => Bound::Unbounded,
             },
-        }
-    }
-
-    /// Clamps both ends to at most `limit`.
-    pub fn clamp_hi(&self, limit: u64) -> Interval {
-        if self.is_empty() {
-            return *self;
-        }
-        Interval {
-            lo: self.lo.min(limit),
-            hi: self.hi.min(Bound::Finite(limit)),
         }
     }
 }
@@ -319,7 +301,7 @@ impl<E> Default for SummaryCache<E> {
 
 impl<E> SummaryCache<E> {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SummaryCache {
             summaries: HashMap::new(),
             in_progress: BTreeSet::new(),
@@ -329,7 +311,7 @@ impl<E> SummaryCache<E> {
 
 /// The summary effect of `fid`'s whole body, memoized in `cache`.
 /// Recursive cycles evaluate to [`EffectDomain::top`].
-pub fn func_effect<D: EffectDomain>(
+pub(crate) fn func_effect<D: EffectDomain>(
     module: &Module,
     domain: &D,
     cache: &mut SummaryCache<D::Effect>,
@@ -350,7 +332,7 @@ pub fn func_effect<D: EffectDomain>(
 
 /// The combined effect of a statement list. `idx` is the running visit
 /// index within `fid` and is advanced past every instruction walked.
-pub fn stmts_effect<D: EffectDomain>(
+pub(crate) fn stmts_effect<D: EffectDomain>(
     module: &Module,
     domain: &D,
     cache: &mut SummaryCache<D::Effect>,
@@ -412,10 +394,6 @@ mod tests {
         assert_eq!(
             Interval::ZERO.repeat(None),
             Interval::new(0, Bound::Finite(0))
-        );
-        assert_eq!(
-            Interval::new(2, Bound::Unbounded).clamp_hi(10),
-            Interval::new(2, Bound::Finite(10))
         );
     }
 

@@ -36,19 +36,19 @@ const BLOCK_BYTES: u64 = hintm_types::BLOCK_SIZE as u64;
 /// Per-object read/write block-count intervals plus poison flags for
 /// accesses that cannot be attributed to any object.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AccessEffect {
+pub(crate) struct AccessEffect {
     /// Blocks read per abstract object.
-    pub reads: BTreeMap<ObjId, Interval>,
+    pub(crate) reads: BTreeMap<ObjId, Interval>,
     /// Blocks written per abstract object.
-    pub writes: BTreeMap<ObjId, Interval>,
+    pub(crate) writes: BTreeMap<ObjId, Interval>,
     /// A read with an empty points-to set occurred: reads unbounded.
-    pub unbounded_reads: bool,
+    pub(crate) unbounded_reads: bool,
     /// A write with an empty points-to set occurred: writes unbounded.
-    pub unbounded_writes: bool,
+    pub(crate) unbounded_writes: bool,
 }
 
 /// The footprint effect domain over a fixed points-to solution.
-pub struct FootprintDomain<'a> {
+pub(crate) struct FootprintDomain<'a> {
     pt: &'a PointsTo,
     /// Block counts of statically sized objects.
     blocks: &'a BTreeMap<ObjId, u64>,
@@ -206,8 +206,6 @@ pub struct TxFootprint {
     pub func: FuncId,
     /// Position among the module's transactions in walk order.
     pub index: usize,
-    /// The raw per-object effect (after function-summary inlining).
-    pub effect: AccessEffect,
     /// Upper bound on distinct blocks read.
     pub read_hi: Bound,
     /// Upper bound on distinct blocks written.
@@ -420,7 +418,7 @@ impl ModuleFootprint {
 }
 
 /// Block counts (`ceil(size / 64)`) of every statically sized object.
-pub fn object_blocks(module: &Module, pt: &PointsTo) -> BTreeMap<ObjId, u64> {
+pub(crate) fn object_blocks(module: &Module, pt: &PointsTo) -> BTreeMap<ObjId, u64> {
     let mut map = BTreeMap::new();
     for (gi, g) in module.globals.iter().enumerate() {
         if let Some(size) = g.size {
@@ -570,7 +568,6 @@ fn aggregate(
         return TxFootprint {
             func,
             index,
-            effect,
             read_hi: Bound::Unbounded,
             write_hi: Bound::Unbounded,
             total_hi: Bound::Unbounded,
@@ -618,7 +615,6 @@ fn aggregate(
     TxFootprint {
         func,
         index,
-        effect,
         read_hi,
         write_hi,
         total_hi,
@@ -833,18 +829,12 @@ mod tests {
         assert_eq!(buck128, 1, "101-block TX lands in <=128");
     }
 
-    /// Builds a footprint with the given bounds and an empty effect — the
-    /// verdict functions only look at the bound fields.
+    /// Builds a footprint with the given bounds (the verdict functions
+    /// only look at the bound fields).
     fn bounds(read_hi: Bound, write_hi: Bound, total_lo: u64, write_lo: u64) -> TxFootprint {
         TxFootprint {
             func: FuncId(0),
             index: 0,
-            effect: AccessEffect {
-                reads: BTreeMap::new(),
-                writes: BTreeMap::new(),
-                unbounded_reads: false,
-                unbounded_writes: false,
-            },
             read_hi,
             write_hi,
             total_hi: read_hi.add(write_hi),

@@ -54,7 +54,11 @@ struct Walker<'a> {
 
 /// Computes the set of initializing (safe) store sites, including `memcpy`
 /// store sites.
-pub fn initializing_stores(module: &Module, pt: &PointsTo, sh: &Sharing) -> BTreeSet<SiteId> {
+pub(crate) fn initializing_stores(
+    module: &Module,
+    pt: &PointsTo,
+    sh: &Sharing,
+) -> BTreeSet<SiteId> {
     let mut w = Walker {
         module,
         pt,

@@ -139,7 +139,7 @@ pub struct Function {
 #[derive(Clone, Debug)]
 pub struct GlobalDef {
     /// Human-readable name.
-    pub name: String,
+    pub(crate) name: String,
     /// Byte size, if statically known.
     pub size: Option<u64>,
 }

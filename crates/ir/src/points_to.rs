@@ -12,13 +12,13 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug)]
 pub struct ObjInfo {
     /// Stack, heap, or global.
-    pub kind: ObjKind,
+    pub(crate) kind: ObjKind,
     /// Defining function (`None` for globals).
-    pub func: Option<FuncId>,
+    pub(crate) func: Option<FuncId>,
     /// The allocation is syntactically inside a transaction.
     pub in_tx: bool,
     /// The allocation is syntactically inside a loop.
-    pub in_loop: bool,
+    pub(crate) in_loop: bool,
 }
 
 /// The points-to solution for a module.
@@ -48,7 +48,7 @@ impl PointsTo {
 
     /// The abstract contents of `obj` (objects whose pointers were stored
     /// into it).
-    pub fn contents(&self, obj: ObjId) -> &BTreeSet<ObjId> {
+    pub(crate) fn contents(&self, obj: ObjId) -> &BTreeSet<ObjId> {
         &self.contents[obj.0 as usize]
     }
 
@@ -69,22 +69,23 @@ impl PointsTo {
 
     /// The object created by the allocation instruction at `visit_index`
     /// (per [`Module::visit_instrs`] order) of `func`, if any.
-    pub fn alloc_obj(&self, func: FuncId, visit_index: u32) -> Option<ObjId> {
+    pub(crate) fn alloc_obj(&self, func: FuncId, visit_index: u32) -> Option<ObjId> {
         self.alloc_objs.get(&(func, visit_index)).copied()
     }
 
     /// The object representing global `g`.
-    pub fn global_obj(&self, g: crate::module::GlobalId) -> ObjId {
+    pub(crate) fn global_obj(&self, g: crate::module::GlobalId) -> ObjId {
         self.global_objs[g.0 as usize]
     }
 
-    /// The single object `value` points to — for tests and diagnostics
-    /// where the points-to set is known to be a singleton.
+    /// The single object `value` points to — for tests where the
+    /// points-to set is known to be a singleton.
     ///
     /// # Panics
     ///
     /// Panics unless the set has exactly one element.
-    pub fn expect_single_obj(&self, func: FuncId, value: ValueId) -> ObjId {
+    #[cfg(test)]
+    pub(crate) fn expect_single_obj(&self, func: FuncId, value: ValueId) -> ObjId {
         let pts = self.pts(func, value);
         assert_eq!(pts.len(), 1, "expected singleton points-to set: {pts:?}");
         *pts.iter().next().unwrap()

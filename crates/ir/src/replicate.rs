@@ -22,7 +22,7 @@ pub struct Replication {
     /// that downstream emission is deterministic.
     pub site_map: BTreeMap<(CallSiteId, SiteId), SiteId>,
     /// Clones created: `(original, clone)`.
-    pub replicated: Vec<(FuncId, FuncId)>,
+    pub(crate) replicated: Vec<(FuncId, FuncId)>,
 }
 
 /// Applies replication, returning the transformed module and the mapping.

@@ -13,20 +13,18 @@ pub struct Sharing {
     pub shared: BTreeSet<ObjId>,
     /// Non-escaping objects allocated in the thread region: provably
     /// accessed by a single thread.
-    pub thread_private: BTreeSet<ObjId>,
+    pub(crate) thread_private: BTreeSet<ObjId>,
     /// Shared objects never written inside the parallel region: loads from
     /// them are safe.
     pub read_only_shared: BTreeSet<ObjId>,
     /// Functions reachable from the thread root via calls.
     pub reachable_thread: BTreeSet<FuncId>,
-    /// Functions reachable from `main` via calls (not through spawn).
-    pub reachable_main: BTreeSet<FuncId>,
 }
 
 impl Sharing {
     /// Is a load whose pointer targets exactly `objs` safe (every target
     /// thread-private or read-only shared)?
-    pub fn load_targets_safe(&self, objs: &BTreeSet<ObjId>) -> bool {
+    pub(crate) fn load_targets_safe(&self, objs: &BTreeSet<ObjId>) -> bool {
         !objs.is_empty()
             && objs
                 .iter()
@@ -34,7 +32,7 @@ impl Sharing {
     }
 
     /// Are all of `objs` thread-private?
-    pub fn all_thread_private(&self, objs: &BTreeSet<ObjId>) -> bool {
+    pub(crate) fn all_thread_private(&self, objs: &BTreeSet<ObjId>) -> bool {
         !objs.is_empty() && objs.iter().all(|o| self.thread_private.contains(o))
     }
 }
@@ -134,7 +132,6 @@ pub fn sharing(module: &Module, pt: &PointsTo) -> Sharing {
         thread_private,
         read_only_shared,
         reachable_thread,
-        reachable_main,
     }
 }
 
@@ -189,11 +186,9 @@ mod tests {
         let (module, entry, worker) = two_object_module();
         let pt = points_to(&module);
         let sh = sharing(&module, &pt);
-        assert!(sh.reachable_main.contains(&entry));
-        assert!(
-            !sh.reachable_main.contains(&worker),
-            "spawn edge not followed"
-        );
+        let reachable_main = reachable_funcs(&module, entry, false);
+        assert!(reachable_main.contains(&entry));
+        assert!(!reachable_main.contains(&worker), "spawn edge not followed");
         assert!(sh.reachable_thread.contains(&worker));
     }
 

@@ -75,13 +75,8 @@ impl SimGrid {
     }
 
     /// Grid dimensions `(x, y, z)`.
-    pub fn dims(&self) -> (usize, usize, usize) {
+    pub(crate) fn dims(&self) -> (usize, usize, usize) {
         (self.x, self.y, self.z)
-    }
-
-    /// Base simulated address.
-    pub fn base(&self) -> Addr {
-        self.base
     }
 
     fn index(&self, x: usize, y: usize, z: usize) -> usize {
@@ -93,7 +88,7 @@ impl SimGrid {
     }
 
     /// The simulated address of cell `(x, y, z)`.
-    pub fn addr_of(&self, x: usize, y: usize, z: usize) -> Addr {
+    pub(crate) fn addr_of(&self, x: usize, y: usize, z: usize) -> Addr {
         self.base.offset(self.index(x, y, z) as u64 * CELL_SIZE)
     }
 
@@ -123,11 +118,6 @@ impl SimGrid {
         sink.store(self.addr_of(x, y, z), site);
         let i = self.index(x, y, z);
         self.cells[i] = value;
-    }
-
-    /// Reads a cell without tracing (setup code).
-    pub fn peek(&self, x: usize, y: usize, z: usize) -> u64 {
-        self.cells[self.index(x, y, z)]
     }
 
     /// Writes a cell without tracing (setup code).
@@ -194,7 +184,7 @@ mod tests {
         let (_sp, mut g) = setup();
         g.write(2, 3, 1, 77, &mut NullSink, SiteId(0));
         assert_eq!(g.read(2, 3, 1, &mut NullSink, SiteId(0)), 77);
-        assert_eq!(g.peek(2, 3, 1), 77);
+        assert_eq!(g.cells[g.index(2, 3, 1)], 77);
     }
 
     #[test]
@@ -207,13 +197,13 @@ mod tests {
         b.copy_from(&a, &mut sink, SiteId(1), SiteId(2));
         assert_eq!(sink.loads(), 32);
         assert_eq!(sink.stores(), 32);
-        assert_eq!(b.peek(1, 2, 3), 42);
+        assert_eq!(b.cells[b.index(1, 2, 3)], 42);
     }
 
     #[test]
     fn grid_is_page_aligned() {
         let (_sp, g) = setup();
-        assert_eq!(g.base().raw() % 4096, 0);
+        assert_eq!(g.base.raw() % 4096, 0);
     }
 
     #[test]

@@ -292,24 +292,6 @@ impl SimHashMap {
         }
         None
     }
-
-    /// Inserts without tracing (setup code). Returns `false` if present.
-    pub fn insert_untraced(
-        &mut self,
-        key: u64,
-        value: u64,
-        tid: ThreadId,
-        space: &mut AddressSpace,
-    ) -> bool {
-        self.insert(
-            key,
-            value,
-            tid,
-            space,
-            &mut crate::NullSink,
-            HashMapSites::uniform(SiteId::UNKNOWN),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -359,7 +341,7 @@ mod tests {
     fn update_stores_value_in_place() {
         let (mut sp, mut m, st) = setup();
         m.insert(1, 10, ThreadId(0), &mut sp, &mut NullSink, st);
-        let mut sink = CountingSink::new();
+        let mut sink = CountingSink::default();
         assert_eq!(m.update(1, 99, &mut sink, st), Some(10));
         assert_eq!(sink.stores, 1);
         assert_eq!(m.get(1, &mut NullSink, st), Some(99));
@@ -398,7 +380,7 @@ mod tests {
         for k in 0..20u64 {
             m.insert(k, k, ThreadId(0), &mut sp, &mut NullSink, st);
         }
-        let mut deep = CountingSink::new();
+        let mut deep = CountingSink::default();
         // Key 0 was inserted first → now at chain tail.
         m.get(0, &mut deep, st);
         assert!(deep.loads > 10);
@@ -419,13 +401,5 @@ mod tests {
         assert_eq!(visited.len(), 3, "every chain node compared");
         visited.sort_unstable();
         assert_eq!(visited, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn untraced_insert_matches_traced_semantics() {
-        let (mut sp, mut m, st) = setup();
-        assert!(m.insert_untraced(9, 90, ThreadId(0), &mut sp));
-        assert!(!m.insert_untraced(9, 91, ThreadId(0), &mut sp));
-        assert_eq!(m.get(9, &mut NullSink, st), Some(90));
     }
 }

@@ -15,21 +15,17 @@
 pub mod array;
 pub mod grid;
 pub mod hashmap;
-pub mod list;
-pub mod queue;
 pub mod treap;
 
 pub use array::SimArray;
 pub use grid::SimGrid;
 pub use hashmap::{HashMapSites, SimHashMap};
-pub use list::{ListSites, SimList};
-pub use queue::{QueueSites, SimQueue};
 pub use treap::{SimTreap, TreapSites};
 
 /// SplitMix64: the deterministic hash used for treap priorities and hash
 /// table bucket selection. Public so tests can predict layouts.
 #[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -116,20 +116,6 @@ impl SimTreap {
         None
     }
 
-    /// Returns `true` if `key` is present.
-    pub fn contains(&self, key: u64, sink: &mut impl AccessSink, sites: TreapSites) -> bool {
-        let mut cur = self.root;
-        while let Some(c) = cur {
-            let n = &self.nodes[c];
-            sink.load(n.addr.offset(KEY_OFF), sites.traverse);
-            if key == n.key {
-                return true;
-            }
-            cur = if key < n.key { n.left } else { n.right };
-        }
-        false
-    }
-
     /// Updates the value of an existing key in place, returning the old one.
     pub fn update(
         &mut self,
@@ -364,24 +350,6 @@ impl SimTreap {
         walk(self, self.root, &mut out);
         out
     }
-
-    /// Depth of the search path for `key` (tests; no tracing).
-    pub fn path_len(&self, key: u64) -> usize {
-        let mut depth = 0;
-        let mut cur = self.root;
-        while let Some(c) = cur {
-            depth += 1;
-            if key == self.nodes[c].key {
-                break;
-            }
-            cur = if key < self.nodes[c].key {
-                self.nodes[c].left
-            } else {
-                self.nodes[c].right
-            };
-        }
-        depth
-    }
 }
 
 /// Fixed seed mixed into key hashes for priorities, so priorities are
@@ -441,8 +409,16 @@ mod tests {
             t.insert(k, k, ThreadId(0), &mut sp, &mut NullSink, st);
         }
         // Expected depth ~ 2 ln n ≈ 17; allow generous slack but reject a
-        // degenerate linear chain.
-        let max_path = (0..n).map(|k| t.path_len(k)).max().unwrap();
+        // degenerate linear chain. A lookup loads one key per node on its
+        // search path, plus the value.
+        let max_path = (0..n)
+            .map(|k| {
+                let mut sink = CountingSink::default();
+                t.get(k, &mut sink, st);
+                sink.loads - 1
+            })
+            .max()
+            .unwrap();
         assert!(max_path < 64, "treap degenerated: depth {max_path}");
     }
 
@@ -484,28 +460,5 @@ mod tests {
         assert_eq!(t.ceiling(20, &mut NullSink, st), Some((20, 20)));
         assert_eq!(t.ceiling(31, &mut NullSink, st), None);
         assert_eq!(t.ceiling(0, &mut NullSink, st), Some((10, 10)));
-    }
-
-    #[test]
-    fn lookup_trace_length_matches_path() {
-        let (mut sp, mut t, st) = setup();
-        for k in 0..1000u64 {
-            t.insert(k, k, ThreadId(0), &mut sp, &mut NullSink, st);
-        }
-        let mut sink = CountingSink::new();
-        t.get(777, &mut sink, st);
-        assert_eq!(
-            sink.loads as usize,
-            t.path_len(777) + 1,
-            "path loads + value load"
-        );
-    }
-
-    #[test]
-    fn contains_matches_get() {
-        let (mut sp, mut t, st) = setup();
-        t.insert(3, 3, ThreadId(0), &mut sp, &mut NullSink, st);
-        assert!(t.contains(3, &mut NullSink, st));
-        assert!(!t.contains(4, &mut NullSink, st));
     }
 }

@@ -11,10 +11,10 @@
 //!   dynamic classifier exploits).
 //! * [`AccessSink`] — the trait through which data structures report the
 //!   loads and stores their operations perform.
-//! * [`ds`] — a library of data structures (arrays, linked lists, hash
-//!   tables, treaps, queues, grids) that live at simulated addresses and
-//!   emit genuine pointer-chasing access traces, so transactional read/write
-//!   footprints have the same shape as the original STAMP kernels.
+//! * [`ds`] — a library of data structures (arrays, hash tables, treaps,
+//!   grids) that live at simulated addresses and emit genuine
+//!   pointer-chasing access traces, so transactional read/write footprints
+//!   have the same shape as the original STAMP kernels.
 //!
 //! # Examples
 //!

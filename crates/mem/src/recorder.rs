@@ -37,20 +37,15 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochSharing {
     /// Bitmask of threads that loaded the address in this epoch.
-    pub readers: u64,
+    pub(crate) readers: u64,
     /// Bitmask of threads that stored the address in this epoch.
-    pub writers: u64,
+    pub(crate) writers: u64,
 }
 
 impl EpochSharing {
     /// Did a thread other than `tid` store the address in this epoch?
     pub fn written_by_other(&self, tid: ThreadId) -> bool {
         self.writers & !(1u64 << tid.index()) != 0
-    }
-
-    /// Did a thread other than `tid` touch the address in this epoch?
-    pub fn touched_by_other(&self, tid: ThreadId) -> bool {
-        (self.readers | self.writers) & !(1u64 << tid.index()) != 0
     }
 }
 
@@ -61,9 +56,9 @@ pub struct AddrHistory {
     /// order), if it was ever written.
     pub first_writer: Option<ThreadId>,
     /// Bitmask of threads that ever loaded the address.
-    pub readers: u64,
+    pub(crate) readers: u64,
     /// Bitmask of threads that ever stored the address.
-    pub writers: u64,
+    pub(crate) writers: u64,
     /// Per-epoch sharing, keyed by epoch index (absent = untouched).
     epochs: BTreeMap<u32, EpochSharing>,
 }
@@ -135,11 +130,6 @@ impl AccessRecorder {
         self.addrs.get(&addr.raw())
     }
 
-    /// Iterates all touched addresses in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = (Addr, &AddrHistory)> {
-        self.addrs.iter().map(|(&raw, h)| (Addr::new(raw), h))
-    }
-
     /// Number of distinct addresses touched.
     pub fn num_addrs(&self) -> usize {
         self.addrs.len()
@@ -177,7 +167,6 @@ mod tests {
         assert_eq!(h.thread_count(), 2);
         assert!(h.epoch(0).written_by_other(ThreadId(1)));
         assert!(!h.epoch(1).written_by_other(ThreadId(1)));
-        assert!(!h.epoch(1).touched_by_other(ThreadId(1)));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct VecSink {
     /// All recorded accesses, in program order.
     pub accesses: Vec<MemAccess>,
     /// Total compute cycles reported.
-    pub compute_cycles: u64,
+    pub(crate) compute_cycles: u64,
 }
 
 impl VecSink {
@@ -55,14 +55,6 @@ impl VecSink {
             .filter(|a| a.kind == AccessKind::Store)
             .count()
     }
-
-    /// Number of distinct cache blocks touched.
-    pub fn distinct_blocks(&self) -> usize {
-        let mut blocks: Vec<_> = self.accesses.iter().map(|a| a.addr.block()).collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        blocks.len()
-    }
 }
 
 impl AccessSink for VecSink {
@@ -83,23 +75,11 @@ impl AccessSink for VecSink {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CountingSink {
     /// Loads seen.
-    pub loads: u64,
+    pub(crate) loads: u64,
     /// Stores seen.
-    pub stores: u64,
+    pub(crate) stores: u64,
     /// Compute cycles seen.
-    pub compute_cycles: u64,
-}
-
-impl CountingSink {
-    /// Creates a zeroed counter sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total accesses (loads + stores).
-    pub fn total(&self) -> u64 {
-        self.loads + self.stores
-    }
+    pub(crate) compute_cycles: u64,
 }
 
 impl AccessSink for CountingSink {
@@ -144,23 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_distinct_blocks() {
-        let mut s = VecSink::new();
-        s.load(Addr::new(0), SiteId(0));
-        s.load(Addr::new(63), SiteId(0));
-        s.load(Addr::new(64), SiteId(0));
-        assert_eq!(s.distinct_blocks(), 2);
-    }
-
-    #[test]
     fn counting_sink_counts() {
-        let mut s = CountingSink::new();
+        let mut s = CountingSink::default();
         s.load(Addr::new(1), SiteId(0));
         s.load(Addr::new(2), SiteId(0));
         s.store(Addr::new(3), SiteId(0));
         assert_eq!(s.loads, 2);
         assert_eq!(s.stores, 1);
-        assert_eq!(s.total(), 3);
     }
 
     #[test]

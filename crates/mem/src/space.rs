@@ -55,15 +55,15 @@ impl fmt::Display for SegmentKind {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Bytes ever allocated from the global segment.
-    pub global_bytes: u64,
+    pub(crate) global_bytes: u64,
     /// Bytes ever allocated from heap arenas (including recycled chunks).
-    pub heap_bytes: u64,
+    pub(crate) heap_bytes: u64,
     /// Number of heap allocations served.
-    pub heap_allocs: u64,
+    pub(crate) heap_allocs: u64,
     /// Number of heap frees.
-    pub heap_frees: u64,
+    pub(crate) heap_frees: u64,
     /// Heap allocations served from a free list rather than fresh space.
-    pub heap_recycled: u64,
+    pub(crate) heap_recycled: u64,
 }
 
 #[derive(Debug)]
@@ -184,11 +184,6 @@ impl AddressSpace {
         }
     }
 
-    /// Number of threads this space was created for.
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
     /// Allocates `size` bytes from the global segment (16-byte aligned).
     ///
     /// Used for statics and data that is logically part of the program image
@@ -238,7 +233,7 @@ impl AddressSpace {
     /// Used for large structures (e.g. labyrinth's per-thread grids) whose
     /// real counterparts are served by `mmap` and never share pages with
     /// other objects.
-    pub fn halloc_pages(&mut self, tid: ThreadId, size: u64) -> Addr {
+    pub(crate) fn halloc_pages(&mut self, tid: ThreadId, size: u64) -> Addr {
         let arena = &mut self.arenas[tid.index()];
         arena.bump = round_up(arena.bump, PAGE_SIZE as u64);
         let off = arena.bump;
@@ -310,7 +305,8 @@ impl AddressSpace {
     }
 
     /// Classifies a raw address into the segment that owns it.
-    pub fn segment_of(&self, addr: Addr) -> SegmentKind {
+    #[cfg(test)]
+    pub(crate) fn segment_of(&self, addr: Addr) -> SegmentKind {
         let raw = addr.raw();
         if raw >= GLOBAL_BASE && raw < GLOBAL_BASE + self.global_bump {
             return SegmentKind::Global;
@@ -327,7 +323,8 @@ impl AddressSpace {
     }
 
     /// Returns allocation statistics.
-    pub fn stats(&self) -> AllocStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> AllocStats {
         self.stats
     }
 }

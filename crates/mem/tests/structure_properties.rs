@@ -3,7 +3,7 @@
 //! overlapping live chunks (std-only: cases come from the deterministic
 //! in-tree generator).
 
-use hintm_mem::ds::{HashMapSites, ListSites, SimHashMap, SimList, SimTreap, TreapSites};
+use hintm_mem::ds::{HashMapSites, SimHashMap, SimTreap, TreapSites};
 use hintm_mem::{AddressSpace, NullSink};
 use hintm_types::rng::SmallRng;
 use hintm_types::{SiteId, ThreadId};
@@ -136,40 +136,6 @@ fn hashmap_matches_std() {
             }
             assert_eq!(map.len(), model.len());
         }
-    }
-}
-
-/// Sorted list behaves like a sorted Vec (first-match removal).
-#[test]
-fn list_matches_sorted_vec() {
-    let mut rng = SmallRng::seed_from_u64(0x1157);
-    for _ in 0..128 {
-        let mut space = AddressSpace::new(1);
-        let mut list = SimList::new(32);
-        let mut model: Vec<(u64, u64)> = Vec::new();
-        let sites = ListSites::uniform(SiteId(0));
-        for op in map_ops(&mut rng, 1..120) {
-            match op {
-                MapOp::Insert(k, v) | MapOp::Update(k, v) => {
-                    list.insert(k, v, ThreadId(0), &mut space, &mut NullSink, sites);
-                    let pos = model.partition_point(|(mk, _)| *mk < k);
-                    model.insert(pos, (k, v));
-                }
-                MapOp::Remove(k) => {
-                    let got = list.remove(k, ThreadId(0), &mut space, &mut NullSink, sites);
-                    let idx = model.iter().position(|(mk, _)| *mk == k);
-                    let expected = idx.map(|i| model.remove(i).1);
-                    assert_eq!(got, expected);
-                }
-                MapOp::Get(k) => {
-                    let expected = model.iter().find(|(mk, _)| *mk == k).map(|(_, v)| *v);
-                    assert_eq!(list.find(k, &mut NullSink, sites), expected);
-                }
-            }
-            assert_eq!(list.len(), model.len());
-        }
-        let keys: Vec<u64> = model.iter().map(|(k, _)| *k).collect();
-        assert_eq!(list.keys_traced(&mut NullSink, sites), keys);
     }
 }
 

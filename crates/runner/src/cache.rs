@@ -143,7 +143,7 @@ impl Cache {
     /// A cache at `dir` pinned to an explicit schema version. Exposed so
     /// tests can prove a schema bump invalidates old entries; production
     /// code should use [`Cache::new`].
-    pub fn with_schema(dir: impl Into<PathBuf>, schema: u32) -> Cache {
+    pub(crate) fn with_schema(dir: impl Into<PathBuf>, schema: u32) -> Cache {
         Cache {
             dir: dir.into(),
             schema,

@@ -42,7 +42,7 @@ use crate::queue::{CellStatus, JobSnapshot};
 /// Returns a description of the first malformed, unknown, or invalid
 /// field — including workload names that are not registered and thread
 /// overrides the simulated machine cannot run.
-pub fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
+pub(crate) fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
     let cells = SweepSpec::from_json(j)?.cells();
     for cell in &cells {
         if !WORKLOAD_NAMES.contains(&cell.workload.as_str()) {
@@ -54,7 +54,7 @@ pub fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
 }
 
 /// Renders a claim as the `/claim` response body.
-pub fn claim_to_json(claim: &crate::queue::Claim) -> Json {
+pub(crate) fn claim_to_json(claim: &crate::queue::Claim) -> Json {
     Json::Obj(vec![
         ("job".into(), Json::u64(claim.job as u64)),
         ("cell_index".into(), Json::u64(claim.cell_index as u64)),
@@ -64,7 +64,7 @@ pub fn claim_to_json(claim: &crate::queue::Claim) -> Json {
 
 /// Renders one job snapshot as the `GET /sweeps/{id}` body: totals plus
 /// per-cell progress.
-pub fn job_to_json(snap: &JobSnapshot) -> Json {
+pub(crate) fn job_to_json(snap: &JobSnapshot) -> Json {
     let cells = snap
         .cells
         .iter()
@@ -116,7 +116,11 @@ pub fn job_to_json(snap: &JobSnapshot) -> Json {
 /// Reassembles a completed job's results into a [`SweepResult`], so the
 /// report endpoints reuse the exact CSV/JSON rendering `hintm sweep`
 /// writes — byte-identical output for identical specs.
-pub fn sweep_result_from(results: Vec<CellResult>, wall: Duration, jobs: usize) -> SweepResult {
+pub(crate) fn sweep_result_from(
+    results: Vec<CellResult>,
+    wall: Duration,
+    jobs: usize,
+) -> SweepResult {
     let cache_hits = results.iter().filter(|r| r.cached).count();
     let crashed = results
         .iter()
@@ -134,7 +138,7 @@ pub fn sweep_result_from(results: Vec<CellResult>, wall: Duration, jobs: usize) 
 
 /// Renders a completed-cell result as the `/complete` POST body a remote
 /// worker sends back.
-pub fn result_to_json(result: &CellResult) -> Json {
+pub(crate) fn result_to_json(result: &CellResult) -> Json {
     let mut fields = vec![
         ("cached".into(), Json::Bool(result.cached)),
         ("wall_ms".into(), Json::u64(result.wall.as_millis() as u64)),
@@ -153,7 +157,7 @@ pub fn result_to_json(result: &CellResult) -> Json {
 /// # Errors
 ///
 /// Returns a description of the first missing or malformed field.
-pub fn result_from_json(cell: &Cell, j: &Json) -> Result<CellResult, String> {
+pub(crate) fn result_from_json(cell: &Cell, j: &Json) -> Result<CellResult, String> {
     let cached = match j.field("cached").map_err(|e| e.to_string())? {
         Json::Bool(b) => *b,
         _ => return Err("`cached` must be a boolean".into()),

@@ -16,15 +16,15 @@ const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Clone, Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, uppercase (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Path component, without the query string.
-    pub path: String,
+    pub(crate) path: String,
     /// Raw query string (after `?`), empty if absent.
-    pub query: String,
+    pub(crate) query: String,
     /// Request body (empty without a `Content-Length`).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
@@ -35,7 +35,7 @@ impl Request {
     /// Returns `InvalidData` on a malformed request line or header, an
     /// oversized head or body, or a truncated body; propagates transport
     /// errors. A clean EOF before any bytes yields `UnexpectedEof`.
-    pub fn read_from(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
+    pub(crate) fn read_from(reader: &mut BufReader<TcpStream>) -> io::Result<Request> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut line = String::new();
         let mut head_bytes = 0;
@@ -98,7 +98,7 @@ impl Request {
 
     /// The decoded value of query parameter `name`, if present (no
     /// percent-decoding — the API's parameters are plain tokens).
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .split('&')
             .filter_map(|kv| kv.split_once('='))
@@ -107,16 +107,16 @@ impl Request {
     }
 
     /// The path split into non-empty `/`-separated segments.
-    pub fn segments(&self) -> Vec<&str> {
+    pub(crate) fn segments(&self) -> Vec<&str> {
         self.path.split('/').filter(|s| !s.is_empty()).collect()
     }
 }
 
 /// A body-producing closure: writes the body straight to the socket.
-pub type BodyWriter = Box<dyn FnOnce(&mut dyn Write) -> io::Result<()> + Send>;
+pub(crate) type BodyWriter = Box<dyn FnOnce(&mut dyn Write) -> io::Result<()> + Send>;
 
 /// A response body: buffered bytes, or a writer-driven stream.
-pub enum Body {
+pub(crate) enum Body {
     /// A fully-materialized body sent with `Content-Length`.
     Bytes(Vec<u8>),
     /// A streaming body: the closure writes directly to the (buffered)
@@ -126,18 +126,18 @@ pub enum Body {
 }
 
 /// An HTTP response ready to be written.
-pub struct Response {
+pub(crate) struct Response {
     /// Status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// `Content-Type` header value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// The body.
-    pub body: Body,
+    pub(crate) body: Body,
 }
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, value: &hintm::Json) -> Response {
+    pub(crate) fn json(status: u16, value: &hintm::Json) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -146,7 +146,7 @@ impl Response {
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, text: impl Into<String>) -> Response {
+    pub(crate) fn text(status: u16, text: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -155,7 +155,7 @@ impl Response {
     }
 
     /// A buffered response with an explicit content type (e.g. CSV).
-    pub fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Response {
+    pub(crate) fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Response {
         Response {
             status,
             content_type,
@@ -164,7 +164,7 @@ impl Response {
     }
 
     /// A streaming response: `f` writes the body straight to the socket.
-    pub fn stream(
+    pub(crate) fn stream(
         content_type: &'static str,
         f: impl FnOnce(&mut dyn Write) -> io::Result<()> + Send + 'static,
     ) -> Response {
@@ -176,7 +176,7 @@ impl Response {
     }
 
     /// A JSON `{"error": msg}` response.
-    pub fn error(status: u16, msg: impl Into<String>) -> Response {
+    pub(crate) fn error(status: u16, msg: impl Into<String>) -> Response {
         Response::json(
             status,
             &hintm::Json::Obj(vec![("error".into(), hintm::Json::Str(msg.into()))]),
@@ -189,7 +189,7 @@ impl Response {
     /// # Errors
     ///
     /// Returns the underlying I/O error if the socket write fails.
-    pub fn write_to(self, stream: TcpStream) -> io::Result<()> {
+    pub(crate) fn write_to(self, stream: TcpStream) -> io::Result<()> {
         let mut w = BufWriter::new(stream);
         let reason = match self.status {
             200 => "OK",

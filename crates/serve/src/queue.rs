@@ -23,11 +23,11 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct Claim {
     /// Job id.
-    pub job: usize,
+    pub(crate) job: usize,
     /// Cell index within the job (spec order).
-    pub cell_index: usize,
+    pub(crate) cell_index: usize,
     /// The cell to execute.
-    pub cell: Cell,
+    pub(crate) cell: Cell,
 }
 
 /// Result of a non-blocking claim attempt (the HTTP `/claim` endpoint).
@@ -61,26 +61,26 @@ pub enum CellStatus {
 #[derive(Clone, Debug)]
 pub struct JobSnapshot {
     /// Job id.
-    pub id: usize,
+    pub(crate) id: usize,
     /// The job's cells in spec order.
-    pub cells: Vec<Cell>,
+    pub(crate) cells: Vec<Cell>,
     /// Per-cell status, parallel to `cells`.
-    pub status: Vec<CellStatus>,
+    pub(crate) status: Vec<CellStatus>,
     /// Per-cell wall time (zero until the cell completes).
-    pub walls: Vec<Duration>,
+    pub(crate) walls: Vec<Duration>,
     /// Completed cells (done + crashed).
-    pub finished: usize,
+    pub(crate) finished: usize,
     /// Completed cells served from the cache.
-    pub cached: usize,
+    pub(crate) cached: usize,
     /// Crashed cells.
-    pub crashed: usize,
+    pub(crate) crashed: usize,
     /// Wall time from submission to completion (or to now if running).
-    pub wall: Duration,
+    pub(crate) wall: Duration,
 }
 
 impl JobSnapshot {
     /// Whether every cell has finished.
-    pub fn complete(&self) -> bool {
+    pub(crate) fn complete(&self) -> bool {
         self.finished == self.cells.len()
     }
 }
@@ -89,19 +89,19 @@ impl JobSnapshot {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueStats {
     /// Jobs submitted since the daemon started.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// Cells across all jobs.
-    pub cells_total: usize,
+    pub(crate) cells_total: usize,
     /// Cells not yet claimed.
-    pub pending: usize,
+    pub(crate) pending: usize,
     /// Cells currently executing.
-    pub running: usize,
+    pub(crate) running: usize,
     /// Cells that were actually simulated.
-    pub executed: u64,
+    pub(crate) executed: u64,
     /// Cells served from the result cache.
-    pub cached: u64,
+    pub(crate) cached: u64,
     /// Cells that crashed.
-    pub crashed: u64,
+    pub(crate) crashed: u64,
 }
 
 struct Job {
@@ -142,7 +142,7 @@ impl Default for JobQueue {
 
 impl JobQueue {
     /// An empty queue.
-    pub fn new() -> JobQueue {
+    pub(crate) fn new() -> JobQueue {
         JobQueue {
             state: Mutex::new(State {
                 jobs: Vec::new(),
@@ -159,7 +159,7 @@ impl JobQueue {
 
     /// Submits a job; its cells join the queue in spec order. Returns the
     /// job id.
-    pub fn submit(&self, cells: Vec<Cell>) -> usize {
+    pub(crate) fn submit(&self, cells: Vec<Cell>) -> usize {
         let mut s = self.state.lock().unwrap();
         let id = s.jobs.len();
         let n = cells.len();
@@ -180,7 +180,7 @@ impl JobQueue {
 
     /// Blocks until a cell is claimable (or shutdown). Local executor
     /// workers live in this call; `None` means exit.
-    pub fn claim_blocking(&self) -> Option<Claim> {
+    pub(crate) fn claim_blocking(&self) -> Option<Claim> {
         let mut s = self.state.lock().unwrap();
         loop {
             if s.shutdown {
@@ -195,7 +195,7 @@ impl JobQueue {
 
     /// Non-blocking claim for the HTTP `/claim` endpoint (remote
     /// workers poll).
-    pub fn try_claim(&self) -> ClaimPoll {
+    pub(crate) fn try_claim(&self) -> ClaimPoll {
         let mut s = self.state.lock().unwrap();
         if s.shutdown {
             return ClaimPoll::Shutdown;
@@ -228,7 +228,7 @@ impl JobQueue {
     /// duplicates, and updates the counters. A completion for a cell
     /// that already has a result (e.g. a worker retrying a post) is
     /// ignored.
-    pub fn complete(&self, claim: &Claim, result: CellResult) {
+    pub(crate) fn complete(&self, claim: &Claim, result: CellResult) {
         let mut state = self.state.lock().unwrap();
         let s = &mut *state;
         let job = &mut s.jobs[claim.job];
@@ -262,7 +262,7 @@ impl JobQueue {
         self.cv.notify_all();
     }
 
-    /// Returns a cell claimed via [`JobQueue::try_claim`] to the front of
+    /// Returns a cell claimed via `JobQueue::try_claim` to the front of
     /// the queue (a remote worker failed before posting a result).
     pub fn requeue(&self, claim: &Claim) {
         let mut state = self.state.lock().unwrap();
@@ -278,7 +278,7 @@ impl JobQueue {
     }
 
     /// A snapshot of one job, or `None` for an unknown id.
-    pub fn job(&self, id: usize) -> Option<JobSnapshot> {
+    pub(crate) fn job(&self, id: usize) -> Option<JobSnapshot> {
         let s = self.state.lock().unwrap();
         let job = s.jobs.get(id)?;
         let mut cached = 0;
@@ -320,7 +320,7 @@ impl JobQueue {
 
     /// `(id, total, finished, complete)` for every job in id order, read
     /// under one lock acquisition (the `GET /sweeps` listing).
-    pub fn summaries(&self) -> Vec<(usize, usize, usize, bool)> {
+    pub(crate) fn summaries(&self) -> Vec<(usize, usize, usize, bool)> {
         let s = self.state.lock().unwrap();
         s.jobs
             .iter()
@@ -334,7 +334,7 @@ impl JobQueue {
 
     /// A complete job's results in spec order (`None` if the job is
     /// unknown or still running).
-    pub fn results(&self, id: usize) -> Option<Vec<CellResult>> {
+    pub(crate) fn results(&self, id: usize) -> Option<Vec<CellResult>> {
         let s = self.state.lock().unwrap();
         let job = s.jobs.get(id)?;
         if job.finished != job.cells.len() {
@@ -349,7 +349,7 @@ impl JobQueue {
     }
 
     /// Queue-wide counters.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         let s = self.state.lock().unwrap();
         QueueStats {
             jobs: s.jobs.len(),
@@ -364,7 +364,7 @@ impl JobQueue {
 
     /// Signals shutdown: blocked claimers return `None`, `try_claim`
     /// reports [`ClaimPoll::Shutdown`].
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.state.lock().unwrap().shutdown = true;
         self.cv.notify_all();
     }

@@ -155,11 +155,6 @@ impl Server {
         self.shared.addr
     }
 
-    /// The shared job queue (used by tests to observe progress).
-    pub fn queue(&self) -> &JobQueue {
-        &self.shared.queue
-    }
-
     /// Requests shutdown, exactly as `POST /shutdown` does: local
     /// executors drain, the acceptor stops after the drain grace,
     /// handlers exit.

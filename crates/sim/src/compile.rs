@@ -217,26 +217,13 @@ pub struct AccessProgram {
 
 impl AccessProgram {
     /// Number of slots (one per source op).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// `true` when the program has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Lowered from a transactional section?
     pub fn is_tx(&self) -> bool {
         self.tx
-    }
-
-    /// Number of memory-access slots.
-    pub fn num_accesses(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.word & K_MASK == K_ACCESS)
-            .count()
     }
 
     /// Distinct cache blocks among the access slots — the quantity PR 8's
@@ -374,7 +361,6 @@ mod tests {
         let p = sc.compile(&Section::Tx(body())).expect("tx compiles");
         assert!(p.is_tx());
         assert_eq!(p.len(), 6);
-        assert_eq!(p.num_accesses(), 3);
         assert_eq!(p.distinct_blocks(), 2);
         let words = words(&p);
         assert_eq!(words[0] & K_MASK, K_ACCESS);

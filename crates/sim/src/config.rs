@@ -20,7 +20,7 @@ pub enum HintMode {
 
 impl HintMode {
     /// Static hints enabled?
-    pub const fn uses_static(self) -> bool {
+    pub(crate) const fn uses_static(self) -> bool {
         matches!(self, HintMode::Static | HintMode::Full)
     }
 

@@ -187,11 +187,6 @@ impl Simulator {
         Simulator { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Runs `workload` to completion with `seed` and returns the measured
     /// statistics.
     ///

@@ -1,7 +1,7 @@
 //! Workload sections: the interface between workloads and the engine.
 
 use hintm_trace::Fnv64;
-use hintm_types::{AccessKind, Addr, Cycles, MemAccess, SiteId, ThreadId};
+use hintm_types::{AccessKind, Addr, MemAccess, SiteId, ThreadId};
 use std::collections::HashSet;
 
 /// One operation inside a section.
@@ -36,14 +36,6 @@ impl TxBody {
         TxBody { ops }
     }
 
-    /// Number of memory accesses in the body.
-    pub fn num_accesses(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| matches!(o, TxOp::Access(_)))
-            .count()
-    }
-
     /// `true` if every [`TxOp::Suspend`] is closed by a matching
     /// [`TxOp::Resume`] (workload sanity checks).
     pub fn suspends_balanced(&self) -> bool {
@@ -61,17 +53,6 @@ impl TxBody {
             }
         }
         depth == 0
-    }
-
-    /// Distinct cache blocks touched by the body.
-    pub fn footprint_blocks(&self) -> usize {
-        let mut blocks = HashSet::new();
-        for op in &self.ops {
-            if let TxOp::Access(a) = op {
-                blocks.insert(a.addr.block());
-            }
-        }
-        blocks.len()
     }
 }
 
@@ -337,33 +318,10 @@ impl Workload for DigestingWorkload {
     }
 }
 
-/// Convenience: total cycles of compute in a body (tests/diagnostics).
-pub fn compute_cycles(body: &TxBody) -> Cycles {
-    Cycles(
-        body.ops
-            .iter()
-            .map(|o| if let TxOp::Compute(c) = o { *c } else { 0 })
-            .sum(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hintm_types::Addr;
-
-    #[test]
-    fn body_footprint_counts_blocks() {
-        let body = TxBody::new(vec![
-            TxOp::Access(MemAccess::load(Addr::new(0), SiteId(0))),
-            TxOp::Access(MemAccess::load(Addr::new(8), SiteId(0))),
-            TxOp::Access(MemAccess::store(Addr::new(64), SiteId(0))),
-            TxOp::Compute(100),
-        ]);
-        assert_eq!(body.num_accesses(), 3);
-        assert_eq!(body.footprint_blocks(), 2);
-        assert_eq!(compute_cycles(&body), Cycles(100));
-    }
 
     #[test]
     fn escape_wrapping_groups_safe_runs() {
@@ -399,13 +357,6 @@ mod tests {
         let wrapped = wrap_safe_in_escapes(&body, &sites);
         assert_eq!(wrapped.ops.len(), 4); // S A R A
         assert!(wrapped.suspends_balanced());
-    }
-
-    #[test]
-    fn empty_body() {
-        let body = TxBody::default();
-        assert_eq!(body.num_accesses(), 0);
-        assert_eq!(body.footprint_blocks(), 0);
     }
 
     #[test]

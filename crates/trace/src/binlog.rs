@@ -12,16 +12,16 @@ use std::fmt;
 use std::io;
 
 /// Log file magic.
-pub const MAGIC: [u8; 4] = *b"HTRC";
+pub(crate) const MAGIC: [u8; 4] = *b"HTRC";
 /// Current format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Why a binary log failed to parse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinlogError {
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with the format's magic bytes.
     BadMagic,
-    /// The version byte is not [`VERSION`].
+    /// The version byte is not the format version this build writes.
     BadVersion(u8),
     /// The header or an event was cut short.
     Truncated,

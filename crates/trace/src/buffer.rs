@@ -16,7 +16,7 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// A buffer keeping the **first** `capacity` events.
-    pub fn keep_first(capacity: usize) -> Self {
+    pub(crate) fn keep_first(capacity: usize) -> Self {
         TraceBuffer {
             events: Vec::new(),
             capacity,
@@ -25,7 +25,7 @@ impl TraceBuffer {
     }
 
     /// Appends an event, or counts it as dropped when the buffer is full.
-    pub fn record(&mut self, ev: TraceEvent) {
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
@@ -34,31 +34,17 @@ impl TraceBuffer {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         self.events.clone()
     }
 
     /// Events that exceeded the capacity.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Renders a compact per-thread timeline: time flows left to right in
-    /// `buckets` columns; each cell shows the most severe lifecycle event
-    /// in the bucket (`F` fallback, `A` capacity abort, `P` page-mode
-    /// abort, `a` other abort, `C` commit, `s` shootdown, `.` begin).
-    /// Access, section, eviction and coherence events are not drawn.
-    pub fn render_timeline(&self, threads: usize, buckets: usize) -> String {
+    /// Renders the timeline described at [`crate::Recording::render_timeline`].
+    pub(crate) fn render_timeline(&self, threads: usize, buckets: usize) -> String {
         let events = &self.events;
         let end = events
             .iter()
@@ -152,7 +138,7 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let mut b = TraceBuffer::keep_first(0);
         b.record(begin(0, 1));
-        assert!(b.is_empty());
+        assert!(b.events().is_empty());
         assert_eq!(b.dropped(), 1);
     }
 
@@ -169,7 +155,7 @@ mod tests {
             footprint: 0,
             retries: 0,
         });
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.events().len(), 3);
     }
 
     #[test]

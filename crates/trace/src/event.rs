@@ -141,7 +141,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The engine time of the event.
-    pub fn at(&self) -> Cycles {
+    pub(crate) fn at(&self) -> Cycles {
         match self {
             TraceEvent::SectionStart { at, .. }
             | TraceEvent::TxBegin { at, .. }
@@ -158,7 +158,7 @@ impl TraceEvent {
     }
 
     /// The hardware thread the event belongs to (`None` for barriers).
-    pub fn thread(&self) -> Option<ThreadId> {
+    pub(crate) fn thread(&self) -> Option<ThreadId> {
         match self {
             TraceEvent::SectionStart { thread, .. }
             | TraceEvent::TxBegin { thread, .. }
@@ -175,7 +175,7 @@ impl TraceEvent {
     }
 
     /// A short stable name for exports and debugging.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TraceEvent::SectionStart { .. } => "section_start",
             TraceEvent::TxBegin { .. } => "tx_begin",
@@ -195,7 +195,7 @@ impl TraceEvent {
     /// by LEB128 varints of every field, in declaration order. This is
     /// both the digest input and the binary-log wire format, so it must
     /// never change for an existing variant — add new tags instead.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         match *self {
             TraceEvent::SectionStart { thread, at } => {
                 out.push(0);
@@ -307,7 +307,7 @@ impl TraceEvent {
 
     /// Decodes one event starting at `buf[pos]`; returns the event and the
     /// position just past it, or `None` on truncated or malformed input.
-    pub fn decode(buf: &[u8], pos: usize) -> Option<(TraceEvent, usize)> {
+    pub(crate) fn decode(buf: &[u8], pos: usize) -> Option<(TraceEvent, usize)> {
         struct Reader<'a> {
             buf: &'a [u8],
             p: usize,
@@ -416,7 +416,7 @@ impl TraceEvent {
 }
 
 /// The index of `kind` in [`AbortKind::ALL`] (the stable reporting order).
-pub fn abort_kind_index(kind: AbortKind) -> usize {
+pub(crate) fn abort_kind_index(kind: AbortKind) -> usize {
     AbortKind::ALL
         .iter()
         .position(|k| *k == kind)
@@ -424,7 +424,7 @@ pub fn abort_kind_index(kind: AbortKind) -> usize {
 }
 
 /// Appends `v` to `out` as a LEB128 varint.
-pub fn varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -438,7 +438,7 @@ pub fn varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Reads a LEB128 varint at `buf[pos]`; returns the value and the position
 /// just past it.
-pub fn unvarint(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
+pub(crate) fn unvarint(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
     let mut v = 0u64;
     let mut shift = 0u32;
     let mut p = pos;

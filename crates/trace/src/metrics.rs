@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Number of power-of-two buckets a [`Histogram`] keeps (values up to
 /// `2^63` land in the last bucket).
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// A power-of-two-bucket histogram of `u64` samples.
 ///
@@ -24,7 +24,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: [0; HIST_BUCKETS],
             count: 0,
@@ -40,7 +40,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[Self::bucket(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
@@ -49,17 +49,17 @@ impl Histogram {
     }
 
     /// Number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -68,12 +68,12 @@ impl Histogram {
     }
 
     /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean sample (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -81,13 +81,8 @@ impl Histogram {
         }
     }
 
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
-        &self.buckets
-    }
-
     /// The exact scalar summary (what reports serialize).
-    pub fn summary(&self) -> HistSummary {
+    pub(crate) fn summary(&self) -> HistSummary {
         HistSummary {
             count: self.count(),
             sum: self.sum(),
@@ -175,9 +170,9 @@ pub struct TraceMetrics {
     /// Total events seen.
     pub events: u64,
     /// Sections fetched from the workload.
-    pub sections: u64,
+    pub(crate) sections: u64,
     /// Barrier releases.
-    pub barriers: u64,
+    pub(crate) barriers: u64,
     /// Transaction attempts started.
     pub begins: u64,
     /// HTM commits.
@@ -187,37 +182,37 @@ pub struct TraceMetrics {
     /// Bodies completed under the fallback lock.
     pub fallback_commits: u64,
     /// Aborts by cause, indexed like `AbortKind::ALL`.
-    pub aborts: [u64; 5],
+    pub(crate) aborts: [u64; 5],
     /// Speculative cycles lost to aborts, by cause.
-    pub lost_cycles: [u64; 5],
+    pub(crate) lost_cycles: [u64; 5],
     /// TLB shootdowns observed.
-    pub shootdowns: u64,
+    pub(crate) shootdowns: u64,
     /// Memory accesses delivered (0 when the producing sink elides them).
     pub accesses: u64,
     /// The subset of `accesses` executed transactionally.
-    pub tx_accesses: u64,
+    pub(crate) tx_accesses: u64,
     /// L1 evictions observed.
-    pub l1_evictions: u64,
+    pub(crate) l1_evictions: u64,
     /// Peer-cache invalidations observed.
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
     /// Peer-cache downgrades observed.
-    pub downgrades: u64,
+    pub(crate) downgrades: u64,
     /// Largest tracked HTM footprint seen at any commit or abort, in
     /// blocks (the run's buffer-occupancy high-water mark).
     pub occupancy_hwm: u64,
     /// Read-set sizes at commit, in blocks.
-    pub read_set: Histogram,
+    pub(crate) read_set: Histogram,
     /// Write-set sizes at commit, in blocks.
-    pub write_set: Histogram,
+    pub(crate) write_set: Histogram,
     /// Footprints at commit, in blocks.
-    pub commit_footprint: Histogram,
+    pub(crate) commit_footprint: Histogram,
     /// Retries survived per committed body.
-    pub retries: Histogram,
+    pub(crate) retries: Histogram,
 }
 
 impl TraceMetrics {
     /// Empty metrics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -295,12 +290,12 @@ mod tests {
         assert_eq!(h.count(), 7);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.buckets()[0], 1, "zero bucket");
-        assert_eq!(h.buckets()[1], 1, "value 1");
-        assert_eq!(h.buckets()[2], 2, "values 2..3");
-        assert_eq!(h.buckets()[3], 1, "value 4");
-        assert_eq!(h.buckets()[10], 1, "value 1000");
-        assert_eq!(h.buckets()[64], 1, "u64::MAX");
+        assert_eq!(h.buckets[0], 1, "zero bucket");
+        assert_eq!(h.buckets[1], 1, "value 1");
+        assert_eq!(h.buckets[2], 2, "values 2..3");
+        assert_eq!(h.buckets[3], 1, "value 4");
+        assert_eq!(h.buckets[10], 1, "value 1000");
+        assert_eq!(h.buckets[64], 1, "u64::MAX");
         let s = h.to_string();
         assert!(s.contains("0:1") && s.contains("512..1023:1"), "{s}");
         assert_eq!(Histogram::new().to_string(), "(empty)");

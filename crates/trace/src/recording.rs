@@ -49,7 +49,11 @@ impl Recording {
         self.digest.digest()
     }
 
-    /// See [`TraceBuffer::render_timeline`].
+    /// Renders a compact per-thread timeline: time flows left to right in
+    /// `buckets` columns; each cell shows the most severe lifecycle event
+    /// in the bucket (`F` fallback, `A` capacity abort, `P` page-mode
+    /// abort, `a` other abort, `C` commit, `s` shootdown, `.` begin).
+    /// Access, section, eviction and coherence events are not drawn.
     pub fn render_timeline(&self, threads: usize, buckets: usize) -> String {
         self.buffer.render_timeline(threads, buckets)
     }
@@ -142,13 +146,6 @@ pub struct TraceSummary {
     pub retries: HistSummary,
 }
 
-impl TraceSummary {
-    /// Total aborts across causes.
-    pub fn total_aborts(&self) -> u64 {
-        self.aborts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +190,7 @@ mod tests {
         assert_eq!(s.events, 2);
         assert_eq!(s.begins, 1);
         assert_eq!(s.commits, 1);
-        assert_eq!(s.total_aborts(), 0);
+        assert_eq!(s.aborts.iter().sum::<u64>(), 0);
         assert_eq!(s.occupancy_hwm, 3);
         assert_eq!(s.read_set.count, 1);
         assert_eq!(s.read_set.max, 2);

@@ -79,14 +79,6 @@ pub enum SafetyClass {
     Unsafe,
 }
 
-impl SafetyClass {
-    /// Returns `true` unless the access must be tracked.
-    #[inline]
-    pub const fn is_safe(self) -> bool {
-        !matches!(self, SafetyClass::Unsafe)
-    }
-}
-
 impl fmt::Display for SafetyClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -181,13 +173,6 @@ mod tests {
         assert_eq!(SafetyHint::default(), SafetyHint::Unsafe);
         assert!(!SafetyHint::Unsafe.is_safe());
         assert!(SafetyHint::Safe.is_safe());
-    }
-
-    #[test]
-    fn class_safety() {
-        assert!(SafetyClass::StaticSafe.is_safe());
-        assert!(SafetyClass::DynamicSafe.is_safe());
-        assert!(!SafetyClass::Unsafe.is_safe());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub const PAGE_SHIFT: u32 = 12;
 /// use hintm_types::Addr;
 /// let a = Addr::new(4096 + 65);
 /// assert_eq!(a.page().index(), 1);
-/// assert_eq!(a.block_offset(), 1);
+/// assert_eq!(a.block().index(), 65);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
@@ -53,18 +53,6 @@ impl Addr {
         PageId(self.0 >> PAGE_SHIFT)
     }
 
-    /// Byte offset of this address within its cache block.
-    #[inline]
-    pub const fn block_offset(self) -> usize {
-        (self.0 & (BLOCK_SIZE as u64 - 1)) as usize
-    }
-
-    /// Byte offset of this address within its page.
-    #[inline]
-    pub const fn page_offset(self) -> usize {
-        (self.0 & (PAGE_SIZE as u64 - 1)) as usize
-    }
-
     /// Returns the address advanced by `bytes`.
     ///
     /// # Panics
@@ -73,12 +61,6 @@ impl Addr {
     #[inline]
     pub const fn offset(self, bytes: u64) -> Addr {
         Addr(self.0 + bytes)
-    }
-
-    /// Returns `true` if this is the null address.
-    #[inline]
-    pub const fn is_null(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -119,18 +101,6 @@ impl BlockAddr {
     pub const fn index(self) -> u64 {
         self.0
     }
-
-    /// The first byte address of this block.
-    #[inline]
-    pub const fn base(self) -> Addr {
-        Addr(self.0 << BLOCK_SHIFT)
-    }
-
-    /// The page containing this block.
-    #[inline]
-    pub const fn page(self) -> PageId {
-        PageId(self.0 >> (PAGE_SHIFT - BLOCK_SHIFT))
-    }
 }
 
 impl fmt::Debug for BlockAddr {
@@ -164,12 +134,6 @@ impl PageId {
     pub const fn index(self) -> u64 {
         self.0
     }
-
-    /// The first byte address of this page.
-    #[inline]
-    pub const fn base(self) -> Addr {
-        Addr(self.0 << PAGE_SHIFT)
-    }
 }
 
 impl fmt::Debug for PageId {
@@ -193,7 +157,6 @@ mod tests {
         let a = Addr::new(0);
         assert_eq!(a.block().index(), 0);
         assert_eq!(a.page().index(), 0);
-        assert!(a.is_null());
     }
 
     #[test]
@@ -211,31 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn block_base_round_trips() {
-        let a = Addr::new(0xdead_beef);
-        let b = a.block();
-        assert!(b.base().raw() <= a.raw());
-        assert!(a.raw() < b.base().raw() + BLOCK_SIZE as u64);
-    }
-
-    #[test]
-    fn block_page_consistency() {
-        let a = Addr::new(0x1234_5678);
-        assert_eq!(a.block().page(), a.page());
-    }
-
-    #[test]
     fn offsets() {
         let a = Addr::new(4096 + 70);
-        assert_eq!(a.block_offset(), 6);
-        assert_eq!(a.page_offset(), 70);
         assert_eq!(a.offset(10).raw(), 4096 + 80);
-    }
-
-    #[test]
-    fn page_base() {
-        assert_eq!(PageId::from_index(3).base().raw(), 3 * 4096);
-        assert_eq!(BlockAddr::from_index(3).base().raw(), 3 * 64);
     }
 
     #[test]

@@ -51,14 +51,6 @@ impl fmt::Display for CoreId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct HwThreadId(pub u32);
 
-impl HwThreadId {
-    /// The hardware-thread index as a `usize`.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for HwThreadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "H{}", self.0)
@@ -87,12 +79,6 @@ impl SiteId {
     /// A site id used for accesses with no corresponding static site
     /// (e.g. runtime-internal accesses); never classified safe statically.
     pub const UNKNOWN: SiteId = SiteId(u32::MAX);
-
-    /// The site index as a `usize`.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
 }
 
 impl fmt::Display for SiteId {
@@ -126,12 +112,6 @@ impl Cycles {
     #[inline]
     pub const fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Returns the larger of two cycle counts.
-    #[inline]
-    pub fn max(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.max(rhs.0))
     }
 }
 
@@ -182,7 +162,6 @@ mod tests {
         assert_eq!(a, Cycles(15));
         assert_eq!(a - Cycles(5), Cycles(10));
         assert_eq!(Cycles(3).saturating_sub(Cycles(5)), Cycles::ZERO);
-        assert_eq!(Cycles(3).max(Cycles(5)), Cycles(5));
         let mut c = Cycles(1);
         c += Cycles(2);
         assert_eq!(c, Cycles(3));
@@ -203,7 +182,5 @@ mod tests {
     fn id_indices() {
         assert_eq!(ThreadId(4).index(), 4);
         assert_eq!(CoreId(4).index(), 4);
-        assert_eq!(HwThreadId(4).index(), 4);
-        assert_eq!(SiteId(4).index(), 4);
     }
 }

@@ -15,8 +15,8 @@
 //! use hintm_types::{Addr, BLOCK_SIZE, PAGE_SIZE};
 //!
 //! let a = Addr::new(0x1_2345);
-//! assert_eq!(a.block().base().raw(), 0x1_2345 / BLOCK_SIZE as u64 * BLOCK_SIZE as u64);
-//! assert_eq!(a.page().base().raw(), 0x1_2345 / PAGE_SIZE as u64 * PAGE_SIZE as u64);
+//! assert_eq!(a.block().index(), 0x1_2345 / BLOCK_SIZE as u64);
+//! assert_eq!(a.page().index(), 0x1_2345 / PAGE_SIZE as u64);
 //! ```
 
 pub mod access;

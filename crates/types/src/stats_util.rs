@@ -1,22 +1,5 @@
 //! Small statistics helpers shared by the simulator and the figure
-//! table: ratios, geometric means, and CDF construction.
-
-/// Returns `num / den` as an `f64`, or 0.0 when the denominator is zero.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(hintm_types::stats_util::ratio(1, 4), 0.25);
-/// assert_eq!(hintm_types::stats_util::ratio(1, 0), 0.0);
-/// ```
-#[inline]
-pub fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
-}
+//! table: means, percentiles and tail fractions.
 
 /// Geometric mean of a slice of positive values; 0.0 for an empty slice.
 ///
@@ -36,29 +19,6 @@ pub fn mean(values: &[f64]) -> f64 {
         return 0.0;
     }
     values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Builds an empirical CDF from a set of observations.
-///
-/// Returns `(value, fraction ≤ value)` pairs sorted by value, with one entry
-/// per distinct observation. Used to reproduce the paper's Fig. 6
-/// transaction-size CDFs.
-pub fn cdf(samples: &[u64]) -> Vec<(u64, f64)> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len() as f64;
-    let mut out: Vec<(u64, f64)> = Vec::new();
-    for (i, v) in sorted.iter().enumerate() {
-        let frac = (i + 1) as f64 / n;
-        match out.last_mut() {
-            Some(last) if last.0 == *v => last.1 = frac,
-            _ => out.push((*v, frac)),
-        }
-    }
-    out
 }
 
 /// Fraction of samples strictly greater than `threshold`.
@@ -86,12 +46,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratio_handles_zero_denominator() {
-        assert_eq!(ratio(5, 0), 0.0);
-        assert_eq!(ratio(5, 10), 0.5);
-    }
-
-    #[test]
     fn geomean_basic() {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
@@ -102,22 +56,6 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn cdf_monotone_and_complete() {
-        let c = cdf(&[3, 1, 2, 2]);
-        assert_eq!(c, vec![(1, 0.25), (2, 0.75), (3, 1.0)]);
-        for w in c.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(c.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn cdf_empty() {
-        assert!(cdf(&[]).is_empty());
     }
 
     #[test]

@@ -2,31 +2,11 @@
 //! are drawn from the deterministic in-tree generator).
 
 use hintm_types::rng::SmallRng;
-use hintm_types::stats_util::{cdf, frac_above, geomean, mean, percentile};
+use hintm_types::stats_util::{frac_above, geomean, mean, percentile};
 
 fn samples(rng: &mut SmallRng, max: u64, len_range: std::ops::Range<usize>) -> Vec<u64> {
     let n = rng.gen_range(len_range);
     (0..n).map(|_| rng.gen_range(0..max)).collect()
-}
-
-#[test]
-fn cdf_is_monotone_and_ends_at_one() {
-    let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-    for _ in 0..200 {
-        let s = samples(&mut rng, 1000, 1..200);
-        let c = cdf(&s);
-        assert!(!c.is_empty());
-        for w in c.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 <= w[1].1 + 1e-12);
-        }
-        assert!((c.last().unwrap().1 - 1.0).abs() < 1e-12);
-        // CDF at a value equals the fraction of samples <= value.
-        for &(v, f) in &c {
-            let le = s.iter().filter(|&&x| x <= v).count() as f64 / s.len() as f64;
-            assert!((f - le).abs() < 1e-12);
-        }
-    }
 }
 
 #[test]

@@ -20,7 +20,7 @@ pub enum PageState {
 
 impl PageState {
     /// Is a **load** by `tid` of a page in this state safe (§III-B)?
-    pub fn load_is_safe(self, tid: ThreadId) -> bool {
+    pub(crate) fn load_is_safe(self, tid: ThreadId) -> bool {
         match self {
             PageState::PrivateRo(o) | PageState::PrivateRw(o) => o == tid,
             PageState::SharedRo => true,
@@ -30,7 +30,7 @@ impl PageState {
 
     /// Is the page in a safe state for *some* reader (Fig. 1's safe-page
     /// census)?
-    pub fn is_safe_page(self) -> bool {
+    pub(crate) fn is_safe_page(self) -> bool {
         !matches!(self, PageState::SharedRw)
     }
 }
@@ -75,7 +75,7 @@ pub enum Transition {
 /// Returns the new state and the transition event. `preserve` enables the
 /// §VI-B optimization (remote reads of ⟨private,rw⟩ downgrade to
 /// ⟨shared,ro⟩ instead of going unsafe).
-pub fn step(
+pub(crate) fn step(
     state: Option<PageState>,
     tid: ThreadId,
     kind: AccessKind,

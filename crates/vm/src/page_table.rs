@@ -40,7 +40,7 @@ impl Default for PageTable {
 }
 
 impl PageTable {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PageTable {
             keys: vec![EMPTY; MIN_SLOTS],
             // Placeholder value for empty slots; never read through them.
@@ -53,13 +53,8 @@ impl PageTable {
     }
 
     /// Number of touched pages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when no page has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     #[inline]
@@ -79,7 +74,7 @@ impl PageTable {
 
     /// Current state of `page`, if touched.
     #[inline]
-    pub fn get(&self, page: PageId) -> Option<PageState> {
+    pub(crate) fn get(&self, page: PageId) -> Option<PageState> {
         let key = page.index();
         if self.last != usize::MAX && self.keys[self.last] == key {
             return Some(self.vals[self.last]);
@@ -91,7 +86,7 @@ impl PageTable {
     /// Reads the current state of `page` and stores `f(current)` back, all
     /// in a single probe. Returns the state that was stored.
     #[inline]
-    pub fn update(
+    pub(crate) fn update(
         &mut self,
         page: PageId,
         f: impl FnOnce(Option<PageState>) -> PageState,
@@ -146,7 +141,7 @@ impl PageTable {
     }
 
     /// Visits every touched page's state.
-    pub fn for_each(&self, mut f: impl FnMut(PageId, PageState)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(PageId, PageState)) {
         for (k, v) in self.keys.iter().zip(&self.vals) {
             if *k != EMPTY {
                 f(PageId::from_index(*k), *v);

@@ -117,11 +117,6 @@ impl SharingProfiler {
         self.finalize();
         frac(self.tx_reads_safe_block as usize, self.tx_reads as usize)
     }
-
-    /// Total transactional reads recorded.
-    pub fn tx_reads(&self) -> u64 {
-        self.tx_reads
-    }
 }
 
 fn frac(num: usize, den: usize) -> f64 {
@@ -181,14 +176,14 @@ mod tests {
         p.record(X, Addr::new(0x2000), AccessKind::Load, true);
         p.record(Y, Addr::new(0x2000), AccessKind::Store, false);
         assert_eq!(p.safe_tx_read_fraction_page(), 0.0);
-        assert_eq!(p.tx_reads(), 1);
+        assert_eq!(p.tx_reads, 1);
     }
 
     #[test]
     fn non_tx_reads_do_not_count() {
         let mut p = SharingProfiler::new();
         p.record(X, Addr::new(0x2000), AccessKind::Load, false);
-        assert_eq!(p.tx_reads(), 0);
+        assert_eq!(p.tx_reads, 0);
         assert_eq!(p.safe_tx_read_fraction_page(), 0.0);
     }
 

@@ -95,11 +95,6 @@ impl VmSystem {
         }
     }
 
-    /// Whether preserve mode is on.
-    pub fn preserve(&self) -> bool {
-        self.preserve
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> VmStats {
         self.stats
@@ -237,13 +232,6 @@ impl VmSystem {
             shootdown,
         }
     }
-
-    /// Peeks at the dynamic verdict for a load without side effects
-    /// (classification queries outside the timed path).
-    pub fn peek_load_safe(&self, tid: ThreadId, page: PageId) -> bool {
-        let (after, _) = step(self.table.get(page), tid, AccessKind::Load, self.preserve);
-        after.load_is_safe(tid)
-    }
 }
 
 #[cfg(test)]
@@ -346,19 +334,6 @@ mod tests {
         vm.access(CX, X, pg(3), AccessKind::Load);
         vm.access(CY, Y, pg(3), AccessKind::Store); // shared-rw: unsafe
         assert_eq!(vm.safe_page_census(), (2, 3));
-    }
-
-    #[test]
-    fn peek_does_not_mutate() {
-        let mut vm = mk(false);
-        vm.access(CX, X, pg(1), AccessKind::Store);
-        assert!(!vm.peek_load_safe(Y, pg(1)));
-        assert_eq!(
-            vm.page_state(pg(1)),
-            Some(PageState::PrivateRw(X)),
-            "peek left state alone"
-        );
-        assert!(vm.peek_load_safe(X, pg(1)));
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl Tlb {
     }
 
     /// Drops `page` (shootdown). Returns `true` if it was present.
-    pub fn invalidate(&mut self, page: PageId) -> bool {
+    pub(crate) fn invalidate(&mut self, page: PageId) -> bool {
         let (i, hit) = self.slot_of(page.index());
         if hit {
             let e = self.slot_entry[i];
@@ -171,11 +171,6 @@ impl Tlb {
             self.remove_slot(i);
         }
         hit
-    }
-
-    /// Number of cached translations.
-    pub fn occupancy(&self) -> usize {
-        self.len
     }
 
     /// Moves entry `e` to the head of the recency list.
@@ -254,7 +249,7 @@ mod tests {
         assert!(t.contains(pg(1)));
         assert!(!t.contains(pg(2)));
         assert!(t.contains(pg(3)));
-        assert_eq!(t.occupancy(), 2);
+        assert_eq!(t.len, 2);
     }
 
     #[test]
@@ -273,7 +268,7 @@ mod tests {
         t.install(pg(2));
         assert!(t.invalidate(pg(1)));
         assert!(!t.invalidate(pg(1)));
-        assert_eq!(t.occupancy(), 1);
+        assert_eq!(t.len, 1);
     }
 
     #[test]
@@ -284,7 +279,7 @@ mod tests {
         for i in 0..64u64 {
             t.install(pg(i));
         }
-        assert_eq!(t.occupancy(), 4);
+        assert_eq!(t.len, 4);
         for i in 0..60u64 {
             assert!(!t.contains(pg(i)), "page {i} should have been evicted");
         }
@@ -425,7 +420,7 @@ mod tests {
                             "invalidate"
                         }
                     };
-                    assert_eq!(tlb.occupancy(), reference.len);
+                    assert_eq!(tlb.len, reference.len);
                     for q in 0..pages {
                         assert_eq!(
                             tlb.contains(pg(q)),

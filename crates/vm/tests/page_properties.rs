@@ -145,26 +145,3 @@ fn census_is_exact() {
         assert!(safe <= total);
     }
 }
-
-/// `peek_load_safe` predicts exactly what the next access reports, and
-/// never mutates state.
-#[test]
-fn peek_is_a_pure_oracle() {
-    let mut rng = SmallRng::seed_from_u64(0x9EE4);
-    for _ in 0..96 {
-        let mut vm = VmSystem::new(&MachineConfig::default(), false);
-        for (t, slot, is_store) in accesses(&mut rng, 1..150) {
-            let page = PageId::from_index(slot as u64);
-            let tid = ThreadId(t as u32);
-            let predicted = vm.peek_load_safe(tid, page);
-            let before = vm.page_state(page);
-            assert_eq!(vm.page_state(page), before, "peek mutated state");
-            if !is_store {
-                let r = vm.access(CoreId(t as u32), tid, page, AccessKind::Load);
-                assert_eq!(r.safe_load, predicted);
-            } else {
-                vm.access(CoreId(t as u32), tid, page, AccessKind::Store);
-            }
-        }
-    }
-}

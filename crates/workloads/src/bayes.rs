@@ -130,7 +130,7 @@ struct State {
 }
 
 /// The bayes workload. See the module docs.
-pub struct Bayes {
+pub(crate) struct Bayes {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -141,7 +141,7 @@ pub struct Bayes {
 
 impl Bayes {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir(scale);
         Bayes {
             scale,

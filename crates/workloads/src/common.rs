@@ -21,7 +21,7 @@ pub enum Scale {
 
 impl Scale {
     /// Multiplies a base count by the scale factor (×1 or ×3).
-    pub fn scaled(self, base: usize) -> usize {
+    pub(crate) fn scaled(self, base: usize) -> usize {
         match self {
             Scale::Sim => base,
             Scale::Large => base * 3,
@@ -60,27 +60,22 @@ pub struct Recorder {
 
 impl Recorder {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Finishes recording and returns the body.
-    pub fn into_body(self) -> TxBody {
+    pub(crate) fn into_body(self) -> TxBody {
         TxBody::new(self.ops)
     }
 
     /// Finishes recording and returns the raw ops (non-TX sections).
-    pub fn into_ops(self) -> Vec<TxOp> {
+    pub(crate) fn into_ops(self) -> Vec<TxOp> {
         self.ops
     }
 
-    /// Number of ops recorded so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Returns `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 }
@@ -105,7 +100,7 @@ impl AccessSink for Recorder {
 
 /// A deterministic per-thread RNG stream: independent of scheduling order
 /// and of other threads' draws.
-pub fn thread_rng(seed: u64, tid: usize, salt: u64) -> SmallRng {
+pub(crate) fn thread_rng(seed: u64, tid: usize, salt: u64) -> SmallRng {
     SmallRng::seed_from_u64(
         seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ (tid as u64).wrapping_mul(0xd134_2543_de82_ef95)

@@ -124,7 +124,7 @@ struct State {
 }
 
 /// The genome workload. See the module docs.
-pub struct Genome {
+pub(crate) struct Genome {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -135,7 +135,7 @@ pub struct Genome {
 
 impl Genome {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir();
         Genome {
             scale,

@@ -131,7 +131,7 @@ struct State {
 }
 
 /// The intruder workload. See the module docs.
-pub struct Intruder {
+pub(crate) struct Intruder {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -144,7 +144,7 @@ const ARENA_BYTES: u64 = 32 * 1024;
 
 impl Intruder {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir();
         Intruder {
             scale,

@@ -25,7 +25,7 @@
 //!   contract the footprint analysis relies on.
 //! * Loops draw their iteration count from the thread's RNG (`0..=trip`
 //!   when bounded, a small cap when not), branches flip a coin, and every
-//!   draw comes from [`thread_rng`], so streams are scheduling-independent.
+//!   draw comes from `thread_rng`, so streams are scheduling-independent.
 //!
 //! The `entry` function runs once at reset as setup (its accesses are not
 //! simulated, like the suite workloads' construction phases) to bind the
@@ -125,11 +125,6 @@ impl IrExec {
             safe,
             queues: Vec::new(),
         }
-    }
-
-    /// The module being executed.
-    pub fn module(&self) -> &Module {
-        &self.module
     }
 }
 

@@ -75,7 +75,7 @@ struct State {
 }
 
 /// The kmeans workload. See the module docs.
-pub struct Kmeans {
+pub(crate) struct Kmeans {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -88,7 +88,7 @@ const CLUSTERS: usize = 12;
 
 impl Kmeans {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir();
         Kmeans {
             scale,

@@ -127,7 +127,7 @@ struct State {
 }
 
 /// The labyrinth workload. See the module docs.
-pub struct Labyrinth {
+pub(crate) struct Labyrinth {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -146,7 +146,7 @@ impl Labyrinth {
     }
 
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir(scale);
         Labyrinth {
             scale,

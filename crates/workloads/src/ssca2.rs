@@ -78,7 +78,7 @@ struct State {
 }
 
 /// The ssca2 workload. See the module docs.
-pub struct Ssca2 {
+pub(crate) struct Ssca2 {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -89,7 +89,7 @@ pub struct Ssca2 {
 
 impl Ssca2 {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir();
         Ssca2 {
             scale,

@@ -239,7 +239,7 @@ fn setup_tables(threads: usize, alloc: AllocConfig, seed: u64, salt: u64, txs: u
 }
 
 /// TPC-C new-order. See the module docs.
-pub struct TpccNewOrder {
+pub(crate) struct TpccNewOrder {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -250,7 +250,7 @@ pub struct TpccNewOrder {
 
 impl TpccNewOrder {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_no_ir();
         TpccNewOrder {
             scale,
@@ -343,7 +343,7 @@ impl Workload for TpccNewOrder {
 }
 
 /// TPC-C payment. See the module docs.
-pub struct TpccPayment {
+pub(crate) struct TpccPayment {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -354,7 +354,7 @@ pub struct TpccPayment {
 
 impl TpccPayment {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_pay_ir();
         TpccPayment {
             scale,

@@ -108,7 +108,7 @@ struct State {
 }
 
 /// The vacation workload. See the module docs.
-pub struct Vacation {
+pub(crate) struct Vacation {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -119,7 +119,7 @@ pub struct Vacation {
 
 impl Vacation {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir(scale);
         Vacation {
             scale,

@@ -103,7 +103,7 @@ struct State {
 }
 
 /// The yada workload. See the module docs.
-pub struct Yada {
+pub(crate) struct Yada {
     scale: Scale,
     threads: usize,
     alloc: AllocConfig,
@@ -114,7 +114,7 @@ pub struct Yada {
 
 impl Yada {
     /// Creates the workload for `threads` threads.
-    pub fn new(scale: Scale, threads: usize) -> Self {
+    pub(crate) fn new(scale: Scale, threads: usize) -> Self {
         let (sites, safe_sites) = build_ir(scale);
         Yada {
             scale,
