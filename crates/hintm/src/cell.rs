@@ -4,8 +4,8 @@
 //! an *axis*, declared once as a row of [`AXES`]: its JSON key, its CLI
 //! flag, its label in [`Cell::key`], and one parse and one render
 //! function. Every surface that names axes walks that table instead of
-//! listing fields: the cache key, the cell JSON of the sweep manifest and
-//! the claim wire ([`cell_to_json`], [`cell_from_json`]), the axis flags of
+//! listing fields: the cache key, the cell JSON of the sweep manifest
+//! ([`cell_to_json`], [`cell_from_json`]), the axis flags of
 //! `hintm run`/`trace`/`sweep`, the `POST /sweeps` body
 //! ([`SweepSpec::from_json`]) and the sweep cross product
 //! ([`SweepSpec::cells`]). A new axis is a `Cell` field, its builder, and
@@ -77,7 +77,7 @@ impl Default for Cell {
 /// One [`Cell`] field as every front end spells it.
 #[derive(Clone, Copy, Debug)]
 pub struct Axis {
-    /// Key in a cell's JSON object (sweep manifest, claim wire). An axis
+    /// Key in a cell's JSON object (sweep manifest). An axis
     /// with a `flag` is also a `POST /sweeps` key under this name, unless
     /// it has a `list` name.
     pub json: &'static str,
@@ -397,8 +397,7 @@ impl Cell {
 }
 
 /// A cell's configuration as a JSON object: every axis under its
-/// [`Axis::json`] key (the sweep manifest, `results.json` and the claim
-/// wire format).
+/// [`Axis::json`] key (the sweep manifest and `results.json`).
 pub fn cell_to_json(cell: &Cell) -> Json {
     Json::Obj(
         AXES.iter()

@@ -83,15 +83,11 @@ pub enum Command {
 pub struct ServeArgs {
     /// Listen address (`HOST:PORT`).
     pub addr: String,
-    /// Executor worker threads (`None` = the machine's available
-    /// parallelism; `0` = serve the API only and rely on joined workers).
+    /// Executor threads (`None` = the machine's available parallelism;
+    /// at least 1, because they are the only way a cell runs).
     pub workers: Option<usize>,
     /// Cache directory override.
     pub cache_dir: Option<String>,
-    /// Instead of serving, join the daemon at this `HOST:PORT` as a
-    /// worker: claim cells over HTTP, execute them locally, post the
-    /// reports back.
-    pub join: Option<String>,
 }
 
 impl Default for ServeArgs {
@@ -100,7 +96,6 @@ impl Default for ServeArgs {
             addr: "127.0.0.1:8191".into(),
             workers: None,
             cache_dir: None,
-            join: None,
         }
     }
 }
@@ -317,11 +312,8 @@ of the selected rows run as one cached batch, then each table prints):
 SERVE OPTIONS (long-running daemon: HTTP API over a job queue that shares
 the result cache across workers and repeat submissions):
   --addr <host:port>       listen address                     [127.0.0.1:8191]
-  --workers <n>            executor threads [machine's parallelism; 0 = API
-                           only, cells wait for joined workers]
+  --workers <n>            executor threads (min 1)  [machine's parallelism]
   --cache-dir <dir>        cache location      [$HINTM_CACHE_DIR or .hintm-cache]
-  --join <host:port>       join the daemon at host:port as a worker process:
-                           claim cells over HTTP, run them, post reports back
 ";
 
 /// A scale's canonical name (its `Display` form).
@@ -607,14 +599,13 @@ fn parse_serve(args: &[String]) -> Result<Command, CliError> {
             "--addr" => sa.addr = value(args, &mut i)?,
             "--workers" => sa.workers = Some(parsed(args, &mut i)?),
             "--cache-dir" => sa.cache_dir = Some(value(args, &mut i)?),
-            "--join" => sa.join = Some(value(args, &mut i)?),
             other => return Err(CliError(format!("unknown flag `{other}`"))),
         }
         i += 1;
     }
-    if sa.join.is_some() && sa.workers == Some(0) {
+    if sa.workers == Some(0) {
         return Err(CliError(
-            "--join needs at least one worker; drop --workers 0".into(),
+            "--workers must be at least 1: executor threads are the only way a cell runs".into(),
         ));
     }
     Ok(Command::Serve(sa))
@@ -963,6 +954,10 @@ mod tests {
         // Each figure row carries its own seeds.
         assert!(parse(&argv("figures nope")).is_err());
         assert!(parse(&argv("figures --seeds 1")).is_err());
+        // The daemon's own threads are its only executors: no remote
+        // workers, and no daemon without threads.
+        assert!(parse(&argv("serve --join 127.0.0.1:8191")).is_err());
+        assert!(parse(&argv("serve --workers 0")).is_err());
     }
 
     #[test]
@@ -1363,17 +1358,8 @@ mod tests {
         assert_eq!(sa.addr, "0.0.0.0:9000");
         assert_eq!(sa.workers, Some(4));
         assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
-        assert_eq!(sa.join, None);
-
-        let Command::Serve(sa) = parse(&argv("serve --join 10.0.0.1:8191 --workers 2")).unwrap()
-        else {
-            panic!("expected serve")
-        };
-        assert_eq!(sa.join.as_deref(), Some("10.0.0.1:8191"));
-        assert_eq!(sa.workers, Some(2));
 
         assert!(parse(&argv("serve --workers nope")).is_err());
-        assert!(parse(&argv("serve --join 10.0.0.1:8191 --workers 0")).is_err());
         assert!(parse(&argv("serve --frobnicate")).is_err());
     }
 

@@ -353,6 +353,7 @@ mod tests {
         let (mut sp, mut m, st) = setup();
         m.insert(1, 10, ThreadId(0), &mut sp, &mut NullSink, st);
         m.insert(2, 20, ThreadId(0), &mut sp, &mut NullSink, st);
+        let freed = m.nodes.iter().find(|n| n.key == 1).unwrap().addr;
         assert_eq!(
             m.remove(1, ThreadId(0), &mut sp, &mut NullSink, st),
             Some(10)
@@ -360,7 +361,8 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(1, &mut NullSink, st), None);
         assert_eq!(m.remove(1, ThreadId(0), &mut sp, &mut NullSink, st), None);
-        assert!(sp.stats().heap_frees >= 1);
+        // The next allocation of the node's size reuses its address.
+        assert_eq!(sp.halloc(ThreadId(0), m.node_size), freed);
     }
 
     #[test]

@@ -398,7 +398,10 @@ mod tests {
         assert!(!t.insert(1, 20, ThreadId(0), &mut sp, &mut NullSink, st));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(1, &mut NullSink, st), Some(10));
-        assert_eq!(sp.stats().heap_frees, 1);
+        // The rejected node (index 1) went back to the heap: the next
+        // allocation of its size reuses its address.
+        let freed = t.nodes[1].addr;
+        assert_eq!(sp.halloc(ThreadId(0), t.node_size), freed);
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub mod space;
 
 pub use recorder::{AccessRecorder, AddrHistory, EpochSharing};
 pub use sink::{AccessSink, CountingSink, NullSink, VecSink};
-pub use space::{AddressSpace, AllocStats, SegmentKind, HEAP_ARENA_SIZE};
+pub use space::{AddressSpace, SegmentKind, HEAP_ARENA_SIZE};
 
 pub use hintm_types::AllocConfig;

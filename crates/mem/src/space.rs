@@ -51,21 +51,6 @@ impl fmt::Display for SegmentKind {
     }
 }
 
-/// Allocation statistics, for tests and reporting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Bytes ever allocated from the global segment.
-    pub(crate) global_bytes: u64,
-    /// Bytes ever allocated from heap arenas (including recycled chunks).
-    pub(crate) heap_bytes: u64,
-    /// Number of heap allocations served.
-    pub(crate) heap_allocs: u64,
-    /// Number of heap frees.
-    pub(crate) heap_frees: u64,
-    /// Heap allocations served from a free list rather than fresh space.
-    pub(crate) heap_recycled: u64,
-}
-
 #[derive(Debug)]
 struct Arena {
     /// Bump offset within the arena.
@@ -135,7 +120,6 @@ pub struct AddressSpace {
     global_bump: u64,
     arenas: Vec<Arena>,
     stack_tops: Vec<u64>,
-    stats: AllocStats,
     alloc: AllocConfig,
 }
 
@@ -179,7 +163,6 @@ impl AddressSpace {
             global_bump: 0,
             arenas: (0..num_threads).map(|_| Arena::default()).collect(),
             stack_tops: vec![0; num_threads],
-            stats: AllocStats::default(),
             alloc,
         }
     }
@@ -191,7 +174,6 @@ impl AddressSpace {
     pub fn alloc_global(&mut self, size: u64) -> Addr {
         let base = GLOBAL_BASE + self.global_bump;
         self.global_bump += round_up(size.max(1), 16);
-        self.stats.global_bytes += size;
         Addr::new(base)
     }
 
@@ -211,10 +193,7 @@ impl AddressSpace {
     pub fn halloc(&mut self, tid: ThreadId, size: u64) -> Addr {
         let cls = size_class(size);
         let arena = &mut self.arenas[tid.index()];
-        self.stats.heap_allocs += 1;
-        self.stats.heap_bytes += size;
         if let Some(off) = arena.run_of(cls, false).and_then(|list| list.pop()) {
-            self.stats.heap_recycled += 1;
             return Addr::new(HEAP_BASE + tid.index() as u64 * HEAP_ARENA_SIZE + off);
         }
         // Placement policy applies to fresh bump space only: recycled
@@ -242,8 +221,6 @@ impl AddressSpace {
             arena.bump <= HEAP_ARENA_SIZE,
             "heap arena exhausted for {tid}"
         );
-        self.stats.heap_allocs += 1;
-        self.stats.heap_bytes += size;
         Addr::new(HEAP_BASE + tid.index() as u64 * HEAP_ARENA_SIZE + off)
     }
 
@@ -266,7 +243,6 @@ impl AddressSpace {
             .run_of(cls, true)
             .expect("run created on demand")
             .push(addr.raw() - arena_base);
-        self.stats.heap_frees += 1;
     }
 
     /// Like [`AddressSpace::segment_of`] but only recognizing the heap.
@@ -321,12 +297,6 @@ impl AddressSpace {
         }
         SegmentKind::Unmapped
     }
-
-    /// Returns allocation statistics.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> AllocStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -358,7 +328,6 @@ mod tests {
         s.hfree(ThreadId(0), a, 48);
         let b = s.halloc(ThreadId(0), 48);
         assert_eq!(a, b);
-        assert_eq!(s.stats().heap_recycled, 1);
     }
 
     #[test]

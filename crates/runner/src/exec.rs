@@ -159,7 +159,7 @@ impl Runner {
     /// first, then the simulator under `catch_unwind` panic isolation,
     /// with a fresh result stored back. This is the single-cell entry
     /// point for callers that drive their own queue — the `hintm-serve`
-    /// daemon's executor workers claim cells one at a time and push each
+    /// daemon's executor threads claim cells one at a time and push each
     /// through here.
     pub fn execute_cell(&self, cell: &Cell) -> CellResult {
         self.run_one(cell, &|c: &Cell| c.run().unwrap_or_else(|e| panic!("{e}")))

@@ -26,11 +26,10 @@
 //!
 //! Every field is optional with the same defaults as the CLI; unknown
 //! fields are rejected so typos fail loudly instead of silently sweeping
-//! the wrong grid. Cells on the claim/complete wire use the same JSON
-//! object shape as the sweep manifest ([`hintm_runner::cell_to_json`]).
+//! the wrong grid.
 
-use hintm::{Json, RunReport, WORKLOAD_NAMES};
-use hintm_runner::{cell_to_json, Cell, CellOutcome, CellResult, SweepResult, SweepSpec};
+use hintm::{Json, WORKLOAD_NAMES};
+use hintm_runner::{Cell, CellOutcome, CellResult, SweepResult, SweepSpec};
 use std::time::Duration;
 
 use crate::queue::{CellStatus, JobSnapshot};
@@ -51,15 +50,6 @@ pub(crate) fn cells_from_spec_json(j: &Json) -> Result<Vec<Cell>, String> {
         cell.check()?;
     }
     Ok(cells)
-}
-
-/// Renders a claim as the `/claim` response body.
-pub(crate) fn claim_to_json(claim: &crate::queue::Claim) -> Json {
-    Json::Obj(vec![
-        ("job".into(), Json::u64(claim.job as u64)),
-        ("cell_index".into(), Json::u64(claim.cell_index as u64)),
-        ("cell".into(), cell_to_json(&claim.cell)),
-    ])
 }
 
 /// Renders one job snapshot as the `GET /sweeps/{id}` body: totals plus
@@ -136,57 +126,12 @@ pub(crate) fn sweep_result_from(
     }
 }
 
-/// Renders a completed-cell result as the `/complete` POST body a remote
-/// worker sends back.
-pub(crate) fn result_to_json(result: &CellResult) -> Json {
-    let mut fields = vec![
-        ("cached".into(), Json::Bool(result.cached)),
-        ("wall_ms".into(), Json::u64(result.wall.as_millis() as u64)),
-    ];
-    match &result.outcome {
-        CellOutcome::Done(report) => {
-            fields.push(("report".into(), report.to_json_value()));
-        }
-        CellOutcome::Crashed(msg) => fields.push(("error".into(), Json::Str(msg.clone()))),
-    }
-    Json::Obj(fields)
-}
-
-/// Parses a `/complete` body back into the outcome for `cell`.
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
-pub(crate) fn result_from_json(cell: &Cell, j: &Json) -> Result<CellResult, String> {
-    let cached = match j.field("cached").map_err(|e| e.to_string())? {
-        Json::Bool(b) => *b,
-        _ => return Err("`cached` must be a boolean".into()),
-    };
-    let wall = Duration::from_millis(
-        j.field("wall_ms")
-            .and_then(|v| v.as_u64())
-            .map_err(|e| e.to_string())?,
-    );
-    let outcome = if let Some(err) = j.get("error") {
-        CellOutcome::Crashed(err.as_str().map_err(|e| e.to_string())?.to_string())
-    } else {
-        let report = RunReport::from_json_value(j.field("report").map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-        CellOutcome::Done(Box::new(report))
-    };
-    Ok(CellResult {
-        cell: cell.clone(),
-        outcome,
-        wall,
-        cached,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hintm::cli::{parse, Command};
     use hintm::{cell_from_json, HintMode, HtmKind, Scale, AXES};
+    use hintm_runner::cell_to_json;
 
     /// One non-default value per axis, as each front end spells it: the
     /// axis's JSON key, `hintm run` flags, `hintm sweep` flags, `POST
@@ -356,14 +301,14 @@ mod tests {
         }
         let back = cell_from_json(&j).unwrap();
         assert_eq!(back.sim_threads, 1);
-        // `sim_threads` is not part of the key, so the claim still dedups.
+        // `sim_threads` is not part of the key, so the cell still dedups.
         assert_eq!(back.key(), cell.key());
     }
 
     #[test]
     fn cell_json_with_an_exec_tier_parses_to_the_same_cell() {
-        // Claims and manifests from workers built with two execution tiers
-        // carry `"exec"`; the cell they describe is unchanged.
+        // Manifests from builds with two execution tiers carry `"exec"`;
+        // the cell they describe is unchanged.
         let cell = Cell::new("kmeans").sim_threads(2).seed(7);
         let mut j = cell_to_json(&cell);
         if let Json::Obj(fields) = &mut j {
@@ -373,33 +318,5 @@ mod tests {
         let back = cell_from_json(&j).unwrap();
         assert_eq!(back, cell);
         assert_eq!(back.key(), cell.key());
-    }
-
-    #[test]
-    fn result_round_trips_including_crashes() {
-        let cell = Cell::new("ssca2");
-        let report = cell.run().unwrap();
-        let ok = CellResult {
-            cell: cell.clone(),
-            outcome: CellOutcome::Done(Box::new(report)),
-            wall: Duration::from_millis(12),
-            cached: true,
-        };
-        let back = result_from_json(&cell, &result_to_json(&ok)).unwrap();
-        assert!(back.cached);
-        assert_eq!(back.wall, Duration::from_millis(12));
-        assert_eq!(
-            back.report().unwrap().to_json(),
-            ok.report().unwrap().to_json()
-        );
-
-        let crashed = CellResult {
-            cell: cell.clone(),
-            outcome: CellOutcome::Crashed("boom".into()),
-            wall: Duration::ZERO,
-            cached: false,
-        };
-        let back = result_from_json(&cell, &result_to_json(&crashed)).unwrap();
-        assert!(matches!(back.outcome, CellOutcome::Crashed(ref m) if m == "boom"));
     }
 }

@@ -9,7 +9,7 @@ use hintm::cli::{self, Command, FiguresArgs, RunnerArgs, ServeArgs, SweepArgs};
 use hintm::figures::{self, Figure, FIGURES};
 use hintm::MachineConfig;
 use hintm_runner::{Cache, Runner, SweepResult};
-use hintm_serve::{join_loop, ServeConfig, Server};
+use hintm_serve::{ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -125,28 +125,6 @@ fn serve(sa: &ServeArgs) -> Result<(), String> {
             .map_or_else(Cache::default_dir, PathBuf::from),
     );
 
-    if let Some(daemon) = &sa.join {
-        let workers = sa.workers.unwrap_or(1).max(1);
-        let runner = Runner::new().cache(cache);
-        eprintln!("joining {daemon} with {workers} worker(s)");
-        let summaries: Vec<_> = std::thread::scope(|scope| {
-            let runner = &runner;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(move || join_loop(daemon, runner)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let mut completed = 0;
-        let mut crashed = 0;
-        for s in summaries {
-            let s = s.map_err(|e| format!("join worker failed: {e}"))?;
-            completed += s.completed;
-            crashed += s.crashed;
-        }
-        eprintln!("daemon shut down; this worker completed {completed} cell(s), {crashed} crashed");
-        return Ok(());
-    }
-
     let workers = sa
         .workers
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
@@ -157,7 +135,7 @@ fn serve(sa: &ServeArgs) -> Result<(), String> {
     })
     .map_err(|e| format!("binding {}: {e}", sa.addr))?;
     eprintln!(
-        "hintm serve listening on {} with {} local worker(s) — POST /shutdown to stop",
+        "hintm serve listening on {} with {} worker(s) — POST /shutdown to stop",
         server.addr(),
         workers
     );

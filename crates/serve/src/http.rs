@@ -11,7 +11,7 @@ use std::net::TcpStream;
 
 /// Upper bound on the request line plus headers.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
-/// Upper bound on a request body (sweep specs and cell reports are small).
+/// Upper bound on a request body (sweep specs are small).
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// A parsed HTTP request.
@@ -194,12 +194,10 @@ impl Response {
         let reason = match self.status {
             200 => "OK",
             201 => "Created",
-            204 => "No Content",
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
             409 => "Conflict",
-            410 => "Gone",
             _ => "Internal Server Error",
         };
         write!(
@@ -221,7 +219,7 @@ impl Response {
     }
 }
 
-/// A tiny blocking HTTP client for worker mode and tests: sends one
+/// A tiny blocking HTTP client for tests and benchmarks: sends one
 /// request, reads the whole response.
 ///
 /// # Errors

@@ -1,10 +1,8 @@
 //! The shared sweep job queue.
 //!
 //! A [`JobQueue`] holds every submitted job's cells and hands them out —
-//! one at a time — to executor workers, whether those run as threads in
-//! the daemon process or as remote `hintm serve --join` processes
-//! claiming over HTTP. A `Mutex<State>` plus a `Condvar` is the whole
-//! synchronization story.
+//! one at a time — to the daemon's executor threads. A `Mutex<State>`
+//! plus a `Condvar` is the whole synchronization story.
 //!
 //! **Cross-job deduplication:** while a cell key is being executed for
 //! one job, identical cells queued by other jobs stay pending; the
@@ -21,7 +19,7 @@ use std::time::{Duration, Instant};
 /// A claimed cell: which job it belongs to, its index in the job's spec
 /// order, and the cell itself.
 #[derive(Clone, Debug)]
-pub struct Claim {
+pub(crate) struct Claim {
     /// Job id.
     pub(crate) job: usize,
     /// Cell index within the job (spec order).
@@ -30,20 +28,9 @@ pub struct Claim {
     pub(crate) cell: Cell,
 }
 
-/// Result of a non-blocking claim attempt (the HTTP `/claim` endpoint).
-pub enum ClaimPoll {
-    /// A cell was claimed.
-    Claimed(Claim),
-    /// Nothing claimable right now (empty queue, or every pending cell
-    /// is blocked behind an in-flight duplicate).
-    Empty,
-    /// The queue is shutting down; workers should exit.
-    Shutdown,
-}
-
 /// One cell's externally visible state.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CellStatus {
+pub(crate) enum CellStatus {
     /// Queued, not yet claimed.
     Pending,
     /// Claimed by a worker.
@@ -59,7 +46,7 @@ pub enum CellStatus {
 
 /// A point-in-time snapshot of one job.
 #[derive(Clone, Debug)]
-pub struct JobSnapshot {
+pub(crate) struct JobSnapshot {
     /// Job id.
     pub(crate) id: usize,
     /// The job's cells in spec order.
@@ -87,7 +74,7 @@ impl JobSnapshot {
 
 /// Queue-wide counters for `GET /stats`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct QueueStats {
+pub(crate) struct QueueStats {
     /// Jobs submitted since the daemon started.
     pub(crate) jobs: usize,
     /// Cells across all jobs.
@@ -129,15 +116,9 @@ struct State {
 }
 
 /// The shared queue (see the module docs).
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     state: Mutex<State>,
     cv: Condvar,
-}
-
-impl Default for JobQueue {
-    fn default() -> Self {
-        JobQueue::new()
-    }
 }
 
 impl JobQueue {
@@ -193,19 +174,6 @@ impl JobQueue {
         }
     }
 
-    /// Non-blocking claim for the HTTP `/claim` endpoint (remote
-    /// workers poll).
-    pub(crate) fn try_claim(&self) -> ClaimPoll {
-        let mut s = self.state.lock().unwrap();
-        if s.shutdown {
-            return ClaimPoll::Shutdown;
-        }
-        match Self::take_claimable(&mut s) {
-            Some(claim) => ClaimPoll::Claimed(claim),
-            None => ClaimPoll::Empty,
-        }
-    }
-
     /// Pops the first pending entry whose cell key is not currently
     /// in-flight, marking it running.
     fn take_claimable(s: &mut State) -> Option<Claim> {
@@ -225,55 +193,26 @@ impl JobQueue {
     }
 
     /// Records a claimed cell's result, frees its key for queued
-    /// duplicates, and updates the counters. A completion for a cell
-    /// that already has a result (e.g. a worker retrying a post) is
-    /// ignored.
+    /// duplicates, and updates the counters.
     pub(crate) fn complete(&self, claim: &Claim, result: CellResult) {
         let mut state = self.state.lock().unwrap();
         let s = &mut *state;
         let job = &mut s.jobs[claim.job];
-        let was_running = std::mem::take(&mut job.running[claim.cell_index]);
-        if was_running {
-            s.inflight.remove(&job.keys[claim.cell_index]);
+        job.running[claim.cell_index] = false;
+        s.inflight.remove(&job.keys[claim.cell_index]);
+        match &result.outcome {
+            CellOutcome::Done(_) if result.cached => s.cached += 1,
+            CellOutcome::Done(_) => s.executed += 1,
+            CellOutcome::Crashed(_) => s.crashed += 1,
         }
-        if job.results[claim.cell_index].is_none() {
-            if !was_running {
-                // A late post for a requeued claim: the cell must not run
-                // again (and its key may be gone once the job finishes).
-                s.pending.retain(|&p| p != (claim.job, claim.cell_index));
-            }
-            let (executed, cached, crashed) = match &result.outcome {
-                CellOutcome::Done(_) if result.cached => (0, 1, 0),
-                CellOutcome::Done(_) => (1, 0, 0),
-                CellOutcome::Crashed(_) => (0, 0, 1),
-            };
-            job.results[claim.cell_index] = Some(result);
-            job.finished += 1;
-            if job.finished == job.cells.len() {
-                job.completed_after = Some(job.created.elapsed());
-                job.keys = Vec::new();
-            }
-            s.executed += executed;
-            s.cached += cached;
-            s.crashed += crashed;
+        job.results[claim.cell_index] = Some(result);
+        job.finished += 1;
+        if job.finished == job.cells.len() {
+            job.completed_after = Some(job.created.elapsed());
+            job.keys = Vec::new();
         }
         drop(state);
         // Wake workers blocked behind this key, and completion pollers.
-        self.cv.notify_all();
-    }
-
-    /// Returns a cell claimed via `JobQueue::try_claim` to the front of
-    /// the queue (a remote worker failed before posting a result).
-    pub fn requeue(&self, claim: &Claim) {
-        let mut state = self.state.lock().unwrap();
-        let s = &mut *state;
-        let job = &mut s.jobs[claim.job];
-        if job.results[claim.cell_index].is_none() && job.running[claim.cell_index] {
-            job.running[claim.cell_index] = false;
-            s.inflight.remove(&job.keys[claim.cell_index]);
-            s.pending.push_front((claim.job, claim.cell_index));
-        }
-        drop(state);
         self.cv.notify_all();
     }
 
@@ -362,8 +301,7 @@ impl JobQueue {
         }
     }
 
-    /// Signals shutdown: blocked claimers return `None`, `try_claim`
-    /// reports [`ClaimPoll::Shutdown`].
+    /// Signals shutdown: blocked claimers return `None`.
     pub(crate) fn shutdown(&self) {
         self.state.lock().unwrap().shutdown = true;
         self.cv.notify_all();
@@ -374,6 +312,13 @@ impl JobQueue {
 mod tests {
     use super::*;
     use std::sync::{Arc, OnceLock};
+
+    impl JobQueue {
+        /// A non-blocking claim: the first claimable cell, if any.
+        fn poll(&self) -> Option<Claim> {
+            Self::take_claimable(&mut self.state.lock().unwrap())
+        }
+    }
 
     fn done(cell: &Cell, cached: bool) -> CellResult {
         static REPORT: OnceLock<hintm::RunReport> = OnceLock::new();
@@ -424,11 +369,12 @@ mod tests {
         let first = q.claim_blocking().unwrap();
         // The duplicate is pending but not claimable while the first is
         // in flight.
-        assert!(matches!(q.try_claim(), ClaimPoll::Empty));
+        assert!(q.poll().is_none());
+        assert_eq!(q.stats().pending, 1);
         q.complete(&first, done(&first.cell, false));
-        let ClaimPoll::Claimed(second) = q.try_claim() else {
-            panic!("duplicate becomes claimable after completion");
-        };
+        let second = q
+            .poll()
+            .expect("duplicate becomes claimable after completion");
         assert_eq!(second.job, 1);
     }
 
@@ -449,45 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn a_repeated_completion_leaves_a_duplicates_claim_in_flight() {
-        let q = JobQueue::new();
-        q.submit(vec![Cell::new("ssca2")]);
-        q.submit(vec![Cell::new("ssca2")]);
-        let first = q.claim_blocking().unwrap();
-        q.complete(&first, done(&first.cell, false));
-        let second = q.claim_blocking().unwrap();
-        assert_eq!(second.job, 1);
-        // A worker retrying its post for the first job must not free the
-        // key the second job's claim now holds.
-        q.complete(&first, done(&first.cell, false));
-        q.submit(vec![Cell::new("ssca2")]);
-        assert!(matches!(q.try_claim(), ClaimPoll::Empty));
-        q.complete(&second, done(&second.cell, true));
-        assert!(matches!(q.try_claim(), ClaimPoll::Claimed(c) if c.job == 2));
-    }
-
-    #[test]
-    fn requeue_returns_a_claim_to_the_front() {
-        let q = JobQueue::new();
-        q.submit(vec![Cell::new("ssca2"), Cell::new("kmeans")]);
-        let a = q.claim_blocking().unwrap();
-        q.requeue(&a);
-        let again = q.claim_blocking().unwrap();
-        assert_eq!(again.cell_index, a.cell_index);
-    }
-
-    #[test]
-    fn a_late_post_for_a_requeued_claim_finishes_the_cell() {
-        let q = JobQueue::new();
-        q.submit(vec![Cell::new("ssca2")]);
-        let a = q.claim_blocking().unwrap();
-        q.requeue(&a);
-        q.complete(&a, done(&a.cell, false));
-        assert!(q.job(0).unwrap().complete());
-        assert!(matches!(q.try_claim(), ClaimPoll::Empty));
-    }
-
-    #[test]
     fn shutdown_unblocks_claimers() {
         let q = Arc::new(JobQueue::new());
         let q2 = Arc::clone(&q);
@@ -495,19 +402,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.shutdown();
         assert!(h.join().unwrap().is_none());
-        assert!(matches!(q.try_claim(), ClaimPoll::Shutdown));
-    }
-
-    #[test]
-    fn double_completion_is_idempotent() {
-        let q = JobQueue::new();
         q.submit(vec![Cell::new("ssca2")]);
-        let c = q.claim_blocking().unwrap();
-        q.complete(&c, done(&c.cell, false));
-        q.complete(&c, done(&c.cell, false));
-        let stats = q.stats();
-        assert_eq!(stats.executed, 1);
-        assert_eq!(q.job(0).unwrap().finished, 1);
+        assert!(q.claim_blocking().is_none(), "no claims after shutdown");
     }
 
     #[test]

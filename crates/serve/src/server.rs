@@ -1,25 +1,26 @@
-//! The sweep daemon: listener, handler pool, and local executor workers.
+//! The sweep daemon: listener, handler pool, and executor threads.
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!   curl / workers ─▶│ acceptor ─mpsc─▶ handler pool (route/JSON) │
-//!                    │                     │        ▲             │
-//!                    │              submit ▼        │ /claim      │
-//!                    │                  JobQueue ◀──┘             │
+//!   HTTP clients ───▶│ acceptor ─mpsc─▶ handler pool (route/JSON) │
+//!                    │                     │                      │
+//!                    │              submit ▼                      │
+//!                    │                  JobQueue                  │
 //!                    │                     ▲                      │
-//!                    │   local executors ──┘  (Runner + cache)    │
+//!                    │   executor threads ─┘  (Runner + cache)    │
 //!                    └────────────────────────────────────────────┘
 //! ```
 //!
 //! Every route is stateless over the shared [`JobQueue`] + result cache,
-//! so any number of handler threads, local executors, and remote
-//! `--join` workers can interleave. Reports are rendered by the same
+//! so any number of handler threads and executor threads can
+//! interleave. The executors are the only way a cell runs. Reports are
+//! rendered by the same
 //! [`hintm_runner::results_csv`]/[`hintm_runner::results_json`] used by
 //! `hintm sweep` — a server-side sweep's CSV is byte-identical to the
 //! CLI's for the same spec.
 
 use hintm::Json;
-use hintm_runner::{results_csv, results_json, Cache, CellOutcome, Runner};
+use hintm_runner::{results_csv, results_json, Cache, Runner};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use crate::api;
 use crate::http::{Request, Response};
-use crate::queue::{Claim, ClaimPoll, JobQueue};
+use crate::queue::JobQueue;
 
 /// How many connection-handler threads the daemon runs. Handlers are
 /// cheap (JSON in/out) except the trace endpoint, which re-simulates.
@@ -43,18 +44,13 @@ const HANDLER_THREADS: usize = 4;
 /// forever, and [`HANDLER_THREADS`] such clients wedge the whole API.
 const IO_TIMEOUT: Duration = Duration::from_secs(3);
 
-/// How long the listener keeps serving after shutdown is requested, so
-/// polling `--join` workers observe the 410 on `/claim` (they poll every
-/// 100 ms) instead of a refused connection.
-const SHUTDOWN_GRACE: Duration = Duration::from_millis(300);
-
 /// Daemon configuration (see `hintm serve --help`).
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8191` (port 0 picks an ephemeral
     /// port — [`Server::addr`] reports the actual one).
     pub addr: String,
-    /// Local executor workers. `0` means the daemon executes nothing
-    /// itself and relies entirely on `--join` workers.
+    /// Executor threads, the only way a cell runs. `0` makes a daemon
+    /// whose jobs stay pending (tests of the API alone use it).
     pub workers: usize,
     /// The shared result cache (`None` disables caching and with it
     /// cross-job deduplication of completed results).
@@ -69,10 +65,9 @@ struct Shared {
     workers: usize,
     started: Instant,
     requests: AtomicU64,
-    /// Shutdown requested: `/claim` answers 410, executors drain.
+    /// Shutdown requested: executors drain, and the acceptor exits at
+    /// its next wake-up.
     stopping: AtomicBool,
-    /// Grace elapsed: the acceptor exits at its next wake-up.
-    accepting_done: AtomicBool,
 }
 
 /// A running daemon. Dropping the handle does **not** stop the server;
@@ -84,8 +79,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the acceptor, handler pool, and local executor
-    /// workers, and returns immediately.
+    /// Binds, spawns the acceptor, handler pool, and executor threads,
+    /// and returns immediately.
     ///
     /// # Errors
     ///
@@ -107,7 +102,6 @@ impl Server {
             started: Instant::now(),
             requests: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
-            accepting_done: AtomicBool::new(false),
         });
 
         let mut threads = Vec::new();
@@ -127,7 +121,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || {
                 for conn in listener.incoming() {
-                    if shared.accepting_done.load(Ordering::SeqCst) {
+                    if shared.stopping.load(Ordering::SeqCst) {
                         return; // drops `tx`; handlers drain and exit
                     }
                     if let Ok(stream) = conn {
@@ -155,15 +149,14 @@ impl Server {
         self.shared.addr
     }
 
-    /// Requests shutdown, exactly as `POST /shutdown` does: local
-    /// executors drain, the acceptor stops after the drain grace,
-    /// handlers exit.
+    /// Requests shutdown, exactly as `POST /shutdown` does: executors
+    /// drain, the acceptor stops, handlers exit.
     pub fn stop(&self) {
         initiate_shutdown(&self.shared);
     }
 
     /// Blocks until the server has fully shut down (acceptor, handlers,
-    /// and executor workers all exited).
+    /// and executor threads all exited).
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
@@ -171,23 +164,17 @@ impl Server {
     }
 }
 
-/// Flags the stop and wakes queue waiters immediately (executors exit,
-/// `/claim` starts answering 410), then — after [`SHUTDOWN_GRACE`] —
-/// pokes the listener so the blocking `accept` notices and exits.
-fn initiate_shutdown(shared: &Arc<Shared>) {
+/// Flags the stop, wakes queue waiters (executors exit), and pokes the
+/// listener so the blocking `accept` notices and exits.
+fn initiate_shutdown(shared: &Shared) {
     if shared.stopping.swap(true, Ordering::SeqCst) {
         return; // already shutting down
     }
     shared.queue.shutdown();
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        std::thread::sleep(SHUTDOWN_GRACE);
-        shared.accepting_done.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(shared.addr);
-    });
+    let _ = TcpStream::connect(shared.addr);
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn handle_connection(shared: &Shared, stream: TcpStream) {
     if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
     {
@@ -218,7 +205,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = response.write_to(stream);
 }
 
-fn route(shared: &Arc<Shared>, req: &Request) -> Response {
+fn route(shared: &Shared, req: &Request) -> Response {
     let segments = req.segments();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => Response::text(200, "ok\n"),
@@ -228,8 +215,6 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
         ("GET", ["sweeps", id]) => job(shared, id),
         ("GET", ["sweeps", id, "report"]) => report(shared, id, req),
         ("GET", ["sweeps", id, "cells", idx, "trace"]) => trace(shared, id, idx, req),
-        ("POST", ["claim"]) => claim(shared),
-        ("POST", ["sweeps", id, "cells", idx, "result"]) => post_result(shared, id, idx, req),
         ("POST", ["shutdown"]) => {
             initiate_shutdown(shared);
             Response::json(
@@ -237,7 +222,7 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
                 &Json::Obj(vec![("status".into(), Json::Str("shutting down".into()))]),
             )
         }
-        (_, ["healthz" | "stats" | "sweeps" | "claim" | "shutdown", ..]) => {
+        (_, ["healthz" | "stats" | "sweeps" | "shutdown", ..]) => {
             Response::error(405, format!("method {} not allowed here", req.method))
         }
         _ => Response::error(404, format!("no route for {}", req.path)),
@@ -418,55 +403,6 @@ fn trace(shared: &Shared, id: &str, idx: &str, req: &Request) -> Response {
         }),
         other => Response::error(400, format!("unknown trace format `{other}`")),
     }
-}
-
-/// `POST /claim`: hands one cell to a remote `--join` worker. 200 with
-/// the claim, 204 when nothing is claimable, 410 once shutting down.
-fn claim(shared: &Shared) -> Response {
-    match shared.queue.try_claim() {
-        ClaimPoll::Claimed(claim) => Response::json(200, &api::claim_to_json(&claim)),
-        ClaimPoll::Empty => Response::bytes(204, "application/json", Vec::new()),
-        ClaimPoll::Shutdown => Response::error(410, "server is shutting down"),
-    }
-}
-
-/// `POST /sweeps/{id}/cells/{idx}/result`: a remote worker reports a
-/// claimed cell. The report is published to the daemon's cache first, so
-/// queued duplicates resolve as hits exactly as with local execution.
-fn post_result(shared: &Shared, id: &str, idx: &str, req: &Request) -> Response {
-    let (id, idx) = match (parse_index(id, "job id"), parse_index(idx, "cell index")) {
-        (Ok(id), Ok(idx)) => (id, idx),
-        (Err(resp), _) | (_, Err(resp)) => return resp,
-    };
-    let Some(snap) = shared.queue.job(id) else {
-        return Response::error(404, format!("no job {id}"));
-    };
-    let Some(cell) = snap.cells.get(idx).cloned() else {
-        return Response::error(404, format!("job {id} has no cell {idx}"));
-    };
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(|s| Json::parse(s).map_err(|e| format!("bad JSON: {e}")))
-    {
-        Ok(j) => j,
-        Err(e) => return Response::error(400, e),
-    };
-    let result = match api::result_from_json(&cell, &body) {
-        Ok(r) => r,
-        Err(e) => return Response::error(400, e),
-    };
-    if let (Some(cache), CellOutcome::Done(report)) = (&shared.cache, &result.outcome) {
-        if !result.cached {
-            let _ = cache.store(&cell, report);
-        }
-    }
-    let claim = Claim {
-        job: id,
-        cell_index: idx,
-        cell,
-    };
-    shared.queue.complete(&claim, result);
-    Response::json(200, &Json::Obj(vec![("ok".into(), Json::Bool(true))]))
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 
 use hintm::cli::{csv_row, CSV_HEADER};
 use hintm::{Cell, HintMode, Json};
-use hintm_runner::{Cache, Runner};
+use hintm_runner::Cache;
 use hintm_serve::http::client_request;
-use hintm_serve::{join_loop, ServeConfig, Server};
+use hintm_serve::{ServeConfig, Server};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -327,41 +327,6 @@ fn trace_endpoint_streams_chrome_json_and_binlog() {
 }
 
 #[test]
-fn join_worker_drains_the_queue_over_http() {
-    // workers = 0: the daemon serves the API but executes nothing.
-    let server = start_server("join-srv", 0);
-    let addr = server.addr().to_string();
-
-    let worker_addr = addr.clone();
-    let worker = std::thread::spawn(move || {
-        let runner = Runner::new().cache(Cache::new(tmp_dir("join-wrk")));
-        join_loop(&worker_addr, &runner)
-    });
-
-    let id = submit(&addr, r#"{"workloads":["ssca2","kmeans"]}"#);
-    await_job(&addr, id);
-    assert_eq!(queue_counter(&addr, "executed"), 2);
-
-    // The daemon published the posted reports into its own cache, so a
-    // resubmission is a pure cache replay even with zero local workers.
-    let second = submit(&addr, r#"{"workloads":["ssca2","kmeans"]}"#);
-    await_job(&addr, second);
-    assert_eq!(queue_counter(&addr, "executed"), 2);
-
-    // Shutdown surfaces to the worker as a 410 on /claim.
-    let (status, _) = client_request(&addr, "POST", "/shutdown", b"").unwrap();
-    assert_eq!(status, 200);
-    let summary = worker.join().unwrap().expect("worker exits cleanly");
-    assert_eq!(summary.crashed, 0);
-    assert!(
-        summary.completed >= 2,
-        "worker completed {}",
-        summary.completed
-    );
-    server.join();
-}
-
-#[test]
 fn daemon_binary_boots_serves_and_shuts_down() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hintm"))
         .args([
@@ -425,6 +390,10 @@ fn error_paths_over_the_wire() {
         ("GET", "/sweeps/7/report", "", 404),
         ("GET", "/nope", "", 404),
         ("PUT", "/sweeps", "", 405),
+        // No remote-worker routes: cells run only on the daemon's own
+        // threads, and a posted result hits the `sweeps` method arm.
+        ("POST", "/claim", "", 404),
+        ("POST", "/sweeps/0/cells/0/result", "{}", 405),
     ] {
         let (status, _) = client_request(&addr, method, path, body.as_bytes()).unwrap();
         assert_eq!(status, want, "{method} {path}");

@@ -3,17 +3,14 @@
 //! `tests/golden/figures/<name>.txt` byte for byte. EXPERIMENTS.md quotes
 //! these tables, so a change that moves any figure number fails here.
 //!
-//! The `Scale::Large` rows (Figs. 7 and 8) take minutes in a debug build
-//! and are ignored by default; CI runs them in release:
-//!
-//! ```text
-//! cargo test --release --test figures -- --include-ignored
-//! ```
+//! The `Scale::Large` rows (Figs. 7 and 8) run in their own test; the
+//! workspace's `opt-level = 2` dev profile keeps both tests to seconds in a
+//! plain `cargo test`.
 //!
 //! To regenerate after an intentional change:
 //!
 //! ```text
-//! HINTM_BLESS=1 cargo test --release --test figures -- --include-ignored
+//! HINTM_BLESS=1 cargo test --release --test figures
 //! ```
 
 use hintm::figures::{batch, Figure, FIGURES};
@@ -68,7 +65,6 @@ fn sim_rows_match_golden_renders() {
 }
 
 #[test]
-#[ignore = "Scale::Large rows; CI runs them in release with --include-ignored"]
 fn large_rows_match_golden_renders() {
     check(FIGURES.iter().filter(|f| is_large(f)).collect());
 }
